@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use msnap_disk::Disk;
+use msnap_disk::{fnv1a32, Disk};
 use msnap_sim::{Category, Meters, Nanos, Vt, VthreadId};
 use msnap_store::{ObjectId as StoreObjId, ObjectStore, ScrubStats, VectorCut};
 use msnap_vm::{AsId, DirtyPage, MemObjectId, ResetStrategy, TrackMode, Vm, PAGE_SIZE};
@@ -66,16 +66,6 @@ const CARVE_VERSION: u32 = 1;
 /// Encoded carve header length (the rest of page 0 up to
 /// [`IndexCarve::META_OFF`] is reserved, and beyond it structure-owned).
 const CARVE_HDR_LEN: usize = 32;
-
-/// 32-bit FNV-1a, for the carve-header checksum.
-fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
 
 fn encode_carve_header(kind: u32, writers: u32, arena_pages: u64) -> [u8; CARVE_HDR_LEN] {
     let mut hdr = [0u8; CARVE_HDR_LEN];
@@ -210,26 +200,19 @@ impl std::fmt::Debug for MemSnap {
 }
 
 impl MemSnap {
-    /// Formats `disk` with an empty store and returns a fresh MemSnap.
+    /// Formats `disk` with an empty one-shard store and returns a fresh
+    /// MemSnap: the same as [`MemSnap::format_sharded`] with one shard.
     pub fn format(disk: Disk) -> Self {
-        Self::format_with(disk, 1)
+        Self::format_sharded(disk, 1)
     }
 
     /// Formats `disk` with an empty store partitioned into `shard_count`
     /// shards and returns a fresh MemSnap. With more than one shard,
     /// commits against regions on different shards share no store state
-    /// on the hot path, and [`MemSnap::msnap_cut`] names cross-shard
-    /// consistency points. `shard_count == 1` is the legacy layout.
-    pub fn format_sharded(disk: Disk, shard_count: usize) -> Self {
-        Self::format_with(disk, shard_count)
-    }
-
-    fn format_with(mut disk: Disk, shard_count: usize) -> Self {
-        let mut store = if shard_count > 1 {
-            ObjectStore::format_sharded(&mut disk, shard_count)
-        } else {
-            ObjectStore::format(&mut disk)
-        };
+    /// on the hot path. [`MemSnap::msnap_cut`] names durable consistency
+    /// points across the shards, one shard included.
+    pub fn format_sharded(mut disk: Disk, shard_count: usize) -> Self {
+        let mut store = ObjectStore::format_sharded(&mut disk, shard_count);
         let mut vt = Vt::new(u32::MAX); // boot-time setup thread
         let manifest_obj = store
             .create(&mut vt, &mut disk, MANIFEST_NAME)
@@ -1041,10 +1024,9 @@ impl MemSnap {
         }
     }
 
-    /// Stamps (and on a sharded device durably persists) a manifest-wide
-    /// epoch-vector cut — the two-phase fuzzy cut. **Drain:** every open
-    /// group-commit batch is flushed, so no in-flight ticket straddles
-    /// the cut. **Stamp:** the store records `[e_0..e_{N-1}]` per-shard
+    /// Stamps and durably persists a manifest-wide epoch-vector cut —
+    /// the two-phase fuzzy cut. **Drain:** every open group-commit batch
+    /// is flushed, so no in-flight ticket straddles the cut. **Stamp:** the store records `[e_0..e_{N-1}]` per-shard
     /// epochs, submitted no earlier than every commit's durability
     /// instant. **Release:** subsequent enqueues open fresh batches. The
     /// returned cut is what snapshots, delta streams, and replication
@@ -1063,7 +1045,7 @@ impl MemSnap {
         Ok(self.store.cut(vt, &mut self.disk)?)
     }
 
-    /// The newest stamped epoch-vector cut, if any.
+    /// The newest durable epoch-vector cut, if any.
     pub fn last_cut(&self) -> Option<&VectorCut> {
         self.store.last_cut()
     }
@@ -1345,11 +1327,10 @@ impl MemSnap {
 
     /// Runs one IO-budgeted slice of the online integrity scrub over
     /// every store object (including the manifest), returning what this
-    /// slice alone verified, backfilled, and repaired.
+    /// slice alone verified and repaired.
     ///
     /// The scrub walks the committed trees verifying node and page
-    /// media against their Merkle-chained digests, backfills digests
-    /// missing from pre-digest (v1) layouts, and self-heals corrupt
+    /// media against their Merkle-chained digests, and self-heals corrupt
     /// pages from the newest retained snapshot holding a clean copy.
     /// Pages with no clean local source are quarantined and reported
     /// through [`ObjectStore::unrepaired_pages`] (reachable via

@@ -38,6 +38,7 @@
 
 mod device;
 mod fault;
+mod fnv;
 mod model;
 mod stats;
 
@@ -45,6 +46,7 @@ pub use device::{crash_at_every_io, Disk, WriteToken};
 pub use fault::{
     Fault, FaultInjector, FaultPlan, FaultProfile, InjectedFault, IoError, ReadFault, ReadFaultPlan,
 };
+pub use fnv::{fnv1a, fnv1a32, fnv1a_extend, FNV_OFFSET};
 pub use model::DiskConfig;
 pub use stats::IoStats;
 

@@ -215,8 +215,8 @@ pub struct Promotion {
     pub survivors: Vec<(String, Disk)>,
     /// The newest announced epoch-vector cut the promoted replica had
     /// fully reached — the manifest-wide consistent state it stands at
-    /// (or past; fencing only raises epochs). `None` when the primary
-    /// never stamped a cut (single-shard stores).
+    /// (or past; fencing only raises epochs). `None` when no announced
+    /// cut had reached the replica.
     pub cut: Option<VectorCut>,
 }
 

@@ -60,14 +60,14 @@ pub const SLOTS_PER_PAGE: u64 = PAGE_SIZE as u64 / SLOT_BYTES;
 /// between watch baselines (one `__w/` snapshot per *watched* tenant
 /// stripe) and the replication engine's delta bases (one per attached
 /// replica × object). On the sharded primary these spread across
-/// `shards` catalogs, but a **promoted replica is single-shard**:
+/// `shards` catalogs, but a **promoted replica has one shard**:
 /// after failover, `replicas × (tenants × stripes + 1)` delta bases
 /// plus watched baselines must all fit in one catalog. Size failover
 /// topologies so that budget holds (e.g. fewer `stripes` or tenants).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Store shards of the primary device (tenant stripes hash across
-    /// them; a promoted replica's store is single-shard regardless).
+    /// them; a promoted replica's store has one shard regardless).
     pub shards: usize,
     /// Stripe objects per tenant. A tenant's keyspace is striped
     /// page-contiguously across this many store objects, so one tenant
@@ -384,9 +384,9 @@ impl ServeNode {
     ///
     /// Sessions and watches do **not** survive — clients are re-homed
     /// by reconnecting (`Hello` + re-`Subscribe`), which is the
-    /// client-visible part of failover. The promoted store is
-    /// single-shard (replica devices always are), so post-failover cuts
-    /// are one-element vectors; correctness is unchanged.
+    /// client-visible part of failover. The promoted store has one shard
+    /// (replica devices always do), so post-failover cuts are durable
+    /// one-element vectors; correctness is unchanged.
     ///
     /// # Errors
     ///

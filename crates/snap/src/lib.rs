@@ -210,10 +210,9 @@ pub struct StreamHeader {
     pub len_pages: u64,
     /// Number of page frames in the stream.
     pub frame_count: u64,
-    /// The primary's newest durable epoch-vector cut at build time, when
-    /// the primary is sharded and has stamped one. Replication uses it to
-    /// promote replicas only at manifest-wide consistent cuts; a
-    /// single-shard stream carries `None` and decodes unchanged.
+    /// The primary's newest durable epoch-vector cut at build time.
+    /// Replication uses it to promote replicas only at manifest-wide
+    /// consistent cuts. `None` encodes as a zero-length cut.
     pub cut: Option<VectorCut>,
     /// Stream format version, carried as the header magic: `1` streams
     /// hold only full-page frames (what every prior build emits and any
@@ -1860,9 +1859,7 @@ mod tests {
     #[test]
     fn vector_cut_rides_the_stream_header() {
         // A sharded primary stamps a cut; the stream header carries it
-        // through the wire byte-for-byte. The legacy streams above all
-        // carry `cut: None` (cut_len = 0 on the wire) and round-trip
-        // unchanged — this covers the Some side.
+        // through the wire byte-for-byte, all four components.
         let mut disk = Disk::new(DiskConfig::paper());
         let mut store = ObjectStore::format_sharded(&mut disk, 4);
         let mut vt = Vt::new(0);

@@ -1,6 +1,6 @@
 //! On-disk layout: superblock, directory entries, root and delta records.
 
-use msnap_disk::BLOCK_SIZE;
+use msnap_disk::{fnv1a, BLOCK_SIZE};
 
 /// A μCheckpoint epoch: each object's monotonically increasing commit
 /// counter (the paper's `epoch_t`).
@@ -16,30 +16,27 @@ impl std::fmt::Display for ObjectId {
     }
 }
 
-/// Magic number of a v1 (pre-digest) full root record block. Still
-/// decoded so old stores open; never written anymore.
-pub(crate) const ROOT_MAGIC: u64 = 0x4d534e_41505253; // "MSN APRS"
-/// Magic number of a v2 full root record block (adds `root_digest` and
-/// `flush_seq`).
-pub(crate) const ROOT_MAGIC_V2: u64 = 0x4d534e_41505232; // "MSN APR2"
+/// Magic number of a full root record block.
+pub(crate) const ROOT_MAGIC: u64 = 0x4d534e_41505232; // "MSN APR2"
 /// Magic number of a delta record block.
 pub(crate) const DELTA_MAGIC: u64 = 0x4d534e_41504454; // "MSN APDT"
 /// Magic number of a batch (group-commit) record block.
 pub(crate) const BATCH_MAGIC: u64 = 0x4d534e_41504254; // "MSN APBT"
-/// Magic number of the superblock.
-pub(crate) const SUPER_MAGIC: u64 = 0x4d534e41_50535550; // "MSNA PSUP"
-/// Magic number of a v3 (sharded) store superblock. Carries the shard
-/// count and extent-broker granularity; per-shard metadata slabs follow
-/// the cut slots. Legacy ([`SUPER_MAGIC`]) devices keep opening as
-/// single-shard stores.
+/// Magic number of the header block that opens each shard's metadata
+/// slab.
+pub(crate) const SLAB_MAGIC: u64 = 0x4d534e41_50535550; // "MSNA PSUP"
+/// Magic number of the store superblock at block 0. Carries the shard
+/// count and extent-broker granularity; the cut slots and the per-shard
+/// metadata slabs follow it. A device whose block 0 holds anything else
+/// is not a store.
 pub(crate) const SUPER_MAGIC_V3: u64 = 0x4d534e41_50535533; // "MSNA PSU3"
 /// Magic number of an epoch-vector cut record block.
 pub(crate) const CUT_MAGIC: u64 = 0x4d534e_41504354; // "MSN APCT"
 /// Magic number of a snapshot-catalog block.
 pub(crate) const SNAP_MAGIC: u64 = 0x4d534e_41505350; // "MSN APSP"
 
-/// Block number of the superblock.
-pub(crate) const SUPERBLOCK: u64 = 0;
+/// Slab-relative block of the shard's header block.
+pub(crate) const SLAB_HEADER: u64 = 0;
 /// First block of the object directory.
 pub(crate) const DIR_START: u64 = 1;
 /// Number of directory blocks.
@@ -56,55 +53,37 @@ pub const BATCH_SLOTS: u64 = 32;
 pub(crate) const SNAP_CATALOG_START: u64 = BATCH_RING_START + BATCH_SLOTS;
 /// Snapshot-catalog slots.
 pub(crate) const SNAP_CATALOG_SLOTS: u64 = 2;
-/// First allocatable block (after superblock + directory + batch ring +
-/// snapshot catalog).
-pub(crate) const FIRST_DATA_BLOCK: u64 = SNAP_CATALOG_START + SNAP_CATALOG_SLOTS;
-
-/// Blocks in one shard's metadata slab — the same prefix a legacy store
-/// puts at block 0 (superblock, directory, batch ring, snapshot
-/// catalog), relocated to the slab base in a v3 (sharded) store.
-pub(crate) const SHARD_SLAB_BLOCKS: u64 = FIRST_DATA_BLOCK;
-/// First of the two alternating epoch-vector cut slots in a v3 store
-/// (right after the v3 superblock at block 0).
+/// Blocks in one shard's metadata slab: header block, directory, batch
+/// ring, snapshot catalog. The offsets above are slab-relative.
+pub(crate) const SHARD_SLAB_BLOCKS: u64 = SNAP_CATALOG_START + SNAP_CATALOG_SLOTS;
+/// First of the two alternating epoch-vector cut slots (right after the
+/// superblock at block 0).
 pub(crate) const CUT_SLOT_START: u64 = 1;
 /// Number of alternating cut slots.
 pub(crate) const CUT_SLOTS: u64 = 2;
-/// First shard slab in a v3 store (v3 superblock + cut slots precede it).
+/// First shard slab (the superblock and the cut slots precede it).
 pub(crate) const SHARD_SLAB_START: u64 = CUT_SLOT_START + CUT_SLOTS;
-/// Maximum shards in a v3 store: global object ids pack the shard index
+/// Maximum shards in a store: global object ids pack the shard index
 /// into the id's high byte, so 256 is the format ceiling.
 pub const MAX_SHARDS: usize = 256;
 /// Bit position of the shard index within a global object id.
 pub(crate) const SHARD_ID_SHIFT: u32 = 24;
 
 /// Where one shard's metadata lives on the device, plus the first block
-/// the store may hand to data. A legacy (v1/v2) store is exactly the
-/// `base = 0` instance; a v3 store gives shard `s` the slab at
-/// `SHARD_SLAB_START + s * SHARD_SLAB_BLOCKS` and floors data allocation
-/// past every slab. All shard-relative offsets reproduce the legacy
-/// constants, so one codec serves both formats.
+/// the store may hand to data. Shard `s` of an `n`-shard store owns the
+/// slab at `SHARD_SLAB_START + s * SHARD_SLAB_BLOCKS`, and data
+/// allocation starts past every slab.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardLayout {
     /// First block of this shard's metadata slab.
     pub base: u64,
     /// First block eligible for data allocation (shared by all shards of
-    /// a store: the end of the last slab, or `FIRST_DATA_BLOCK` for a
-    /// legacy store).
+    /// a store: the end of the last slab).
     pub data_floor: u64,
 }
 
 impl ShardLayout {
-    /// The layout of a legacy (single-shard, v1/v2) store: slab at block
-    /// 0, data from `FIRST_DATA_BLOCK`. Byte-identical to the
-    /// pre-shard format.
-    pub fn legacy() -> ShardLayout {
-        ShardLayout {
-            base: 0,
-            data_floor: FIRST_DATA_BLOCK,
-        }
-    }
-
-    /// The layout of shard `index` in a v3 store of `shard_count` shards.
+    /// The layout of shard `index` in a store of `shard_count` shards.
     pub fn sharded(index: usize, shard_count: usize) -> ShardLayout {
         assert!(index < shard_count && shard_count <= MAX_SHARDS);
         ShardLayout {
@@ -113,9 +92,9 @@ impl ShardLayout {
         }
     }
 
-    /// This shard's superblock.
-    pub(crate) fn superblock(&self) -> u64 {
-        self.base + SUPERBLOCK
+    /// This shard's header block.
+    pub(crate) fn header(&self) -> u64 {
+        self.base + SLAB_HEADER
     }
 
     /// First directory block.
@@ -139,7 +118,7 @@ impl ShardLayout {
     }
 }
 
-/// The v3 superblock: shard count and extent-broker granularity.
+/// The store superblock: shard count and extent-broker granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuperV3 {
     /// Number of shards the device was formatted with.
@@ -161,8 +140,8 @@ impl SuperV3 {
         block
     }
 
-    /// Parses and validates a v3 superblock; `None` if the block is not
-    /// one (a legacy superblock, an unformatted device) or is corrupt.
+    /// Parses and validates a superblock; `None` if the block is not one
+    /// (an unformatted or foreign device) or is corrupt.
     pub fn from_block(block: &[u8]) -> Option<SuperV3> {
         let r = |off: usize| u64::from_le_bytes(block[off..off + 8].try_into().unwrap());
         if r(0) != SUPER_MAGIC_V3 || fnv1a(&block[0..24]) != r(24) {
@@ -262,27 +241,9 @@ pub(crate) const ENTRIES_PER_BLOCK: usize = BLOCK_SIZE / DIR_ENTRY_LEN;
 /// Maximum number of objects in a store.
 pub(crate) const MAX_OBJECTS: usize = ENTRIES_PER_BLOCK * DIR_BLOCKS as usize;
 
-/// FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-
-/// Extends an FNV-1a hash with more bytes (for checksumming a payload
-/// spread over several block images).
-pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
-
-/// FNV-1a 64-bit, used to checksum records.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_extend(FNV_OFFSET, bytes)
-}
-
-/// Digest value meaning "no digest recorded": entries decoded from
-/// pre-digest (v1) stores carry this, and verification skips them until
-/// the first write or scrub backfills the real digest.
+/// Digest value meaning "no digest": the radix tree's sentinel for an
+/// empty tree or a node not yet flushed. [`digest32`] never returns it,
+/// so a committed entry that carries it fails verification.
 pub const DIGEST_NONE: u32 = 0;
 
 /// 32-bit content digest used for at-rest integrity: FNV-1a 64 folded to
@@ -300,9 +261,7 @@ pub fn digest32(bytes: &[u8]) -> u32 {
 }
 
 /// Packs a block number and its content digest into one radix-entry
-/// word: block in the low 32 bits, digest in the high 32. Entries from
-/// v1 stores decode with an all-zero high half, i.e. [`DIGEST_NONE`] —
-/// the forward-compatibility hinge of the layout bump.
+/// word: block in the low 32 bits, digest in the high 32.
 pub fn pack_entry(block: u64, digest: u32) -> u64 {
     debug_assert!(
         block <= u32::MAX as u64,
@@ -335,7 +294,7 @@ pub struct RootRecord {
     /// fresh, so lazily loaded subtrees cannot be overwritten).
     pub high_water: u64,
     /// Digest of the committed root node's block image ([`digest32`]), or
-    /// [`DIGEST_NONE`] when unknown (v1 records, empty trees). This is the
+    /// [`DIGEST_NONE`] for an empty tree. This is the
     /// top of the Merkle chain: the root record checksums the root digest,
     /// each node image checksums its children's digests, and leaf entries
     /// carry the page-data digests.
@@ -344,16 +303,15 @@ pub struct RootRecord {
     /// `full_count` at write time). Breaks ties between the two root slots
     /// when both hold the *same* epoch — a repair commit rewrites the root
     /// at the current epoch, and recovery must adopt the repaired one.
-    /// Zero on v1 records (falls back to first-slot-wins).
     pub flush_seq: u64,
 }
 
 impl RootRecord {
-    /// Serializes the record into a zero-padded block image (v2 format).
+    /// Serializes the record into a zero-padded block image.
     pub fn to_block(&self) -> [u8; BLOCK_SIZE] {
         let mut block = [0u8; BLOCK_SIZE];
         let mut w = |off: usize, v: u64| block[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        w(0, ROOT_MAGIC_V2);
+        w(0, ROOT_MAGIC);
         w(8, self.object.0 as u64);
         w(16, self.epoch);
         w(24, self.tree_root);
@@ -367,27 +325,10 @@ impl RootRecord {
     }
 
     /// Parses and validates a root-slot block; `None` if the slot is
-    /// empty, torn, or belongs to a different object. Accepts both the v2
-    /// format and pre-digest v1 records (which decode with
-    /// `root_digest = DIGEST_NONE` and `flush_seq = 0`).
+    /// empty, torn, of another format, or belongs to a different object.
     pub fn from_block(block: &[u8], expect: ObjectId) -> Option<RootRecord> {
         let r = |off: usize| u64::from_le_bytes(block[off..off + 8].try_into().unwrap());
-        let (root_digest, flush_seq) = match r(0) {
-            ROOT_MAGIC => {
-                if fnv1a(&block[0..48]) != r(48) {
-                    return None;
-                }
-                (DIGEST_NONE, 0)
-            }
-            ROOT_MAGIC_V2 => {
-                if fnv1a(&block[0..64]) != r(64) {
-                    return None;
-                }
-                (r(48) as u32, r(56))
-            }
-            _ => return None,
-        };
-        if r(8) != expect.0 as u64 {
+        if r(0) != ROOT_MAGIC || fnv1a(&block[0..64]) != r(64) || r(8) != expect.0 as u64 {
             return None;
         }
         Some(RootRecord {
@@ -396,8 +337,8 @@ impl RootRecord {
             tree_root: r(24),
             len_pages: r(32),
             high_water: r(40),
-            root_digest,
-            flush_seq,
+            root_digest: r(48) as u32,
+            flush_seq: r(56),
         })
     }
 }
@@ -420,8 +361,7 @@ pub struct DeltaRecord {
     pub payload_sum: u64,
     /// The commit's page → packed-entry mappings. The second word is a
     /// [`pack_entry`] word (block in the low half, page-content digest in
-    /// the high half), so digests ride the existing record checksum with
-    /// no format change; v1 records decode with [`DIGEST_NONE`] digests.
+    /// the high half), so digests ride the record checksum.
     pub pairs: Vec<(u64, u64)>,
 }
 
@@ -628,9 +568,8 @@ pub struct SnapEntry {
     /// Object length in pages at the pinned epoch.
     pub len_pages: u64,
     /// Digest of the pinned root node's block image, or [`DIGEST_NONE`]
-    /// when unknown. Stored in the entry's spare tail bytes, so old
-    /// catalogs decode with `DIGEST_NONE` and the existing catalog
-    /// checksum covers it.
+    /// for an empty object. Stored in the entry's tail bytes, under the
+    /// catalog checksum.
     pub root_digest: u32,
 }
 
@@ -803,7 +742,7 @@ mod tests {
         let mut block = rec.to_block();
         block[20] ^= 0xFF;
         assert_eq!(RootRecord::from_block(&block, ObjectId(1)), None);
-        // The v2 tail fields are covered by the checksum too.
+        // The digest and sequence fields are covered by the checksum too.
         let mut block = rec.to_block();
         block[50] ^= 1; // root_digest
         assert_eq!(RootRecord::from_block(&block, ObjectId(1)), None);
@@ -827,36 +766,6 @@ mod tests {
         assert_eq!(RootRecord::from_block(&block, ObjectId(2)), None);
     }
 
-    /// Hand-encodes a v1 (pre-digest) root record exactly as the old
-    /// `to_block` did.
-    fn v1_root_block(object: ObjectId, epoch: u64, tree_root: u64) -> [u8; BLOCK_SIZE] {
-        let mut block = [0u8; BLOCK_SIZE];
-        let mut w = |off: usize, v: u64| block[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        w(0, ROOT_MAGIC);
-        w(8, object.0 as u64);
-        w(16, epoch);
-        w(24, tree_root);
-        w(32, 8); // len_pages
-        w(40, tree_root + 1); // high_water
-        let checksum = fnv1a(&block[0..48]);
-        block[48..56].copy_from_slice(&checksum.to_le_bytes());
-        block
-    }
-
-    #[test]
-    fn v1_root_record_still_decodes_with_no_digest() {
-        let block = v1_root_block(ObjectId(3), 9, 500);
-        let rec = RootRecord::from_block(&block, ObjectId(3)).expect("v1 decodes");
-        assert_eq!(rec.epoch, 9);
-        assert_eq!(rec.tree_root, 500);
-        assert_eq!(rec.root_digest, DIGEST_NONE);
-        assert_eq!(rec.flush_seq, 0);
-        // Torn v1 records are still rejected by the v1 checksum rule.
-        let mut torn = v1_root_block(ObjectId(3), 9, 500);
-        torn[25] ^= 1;
-        assert_eq!(RootRecord::from_block(&torn, ObjectId(3)), None);
-    }
-
     #[test]
     fn digest32_folds_and_avoids_the_none_sentinel() {
         let d = digest32(b"hello world");
@@ -870,9 +779,6 @@ mod tests {
     fn entry_words_pack_and_unpack() {
         let word = pack_entry(0xABCD, 0x1234_5678);
         assert_eq!(unpack_entry(word), (0xABCD, 0x1234_5678));
-        // A v1 entry word (no high bits) unpacks with DIGEST_NONE.
-        assert_eq!(unpack_entry(77), (77, DIGEST_NONE));
-        assert_eq!(pack_entry(77, DIGEST_NONE), 77);
     }
 
     #[test]
@@ -1113,19 +1019,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv_extends_incrementally() {
-        let whole = fnv1a(b"hello world");
-        let parts = fnv1a_extend(fnv1a(b"hello "), b"world");
-        assert_eq!(whole, parts);
-    }
-
-    #[test]
-    fn fnv_is_stable() {
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
-    }
-
-    #[test]
     fn super_v3_round_trips_and_rejects_garbage() {
         let sb = SuperV3 {
             shard_count: 4,
@@ -1136,10 +1029,10 @@ mod tests {
         let mut torn = sb.to_block();
         torn[9] ^= 1;
         assert_eq!(SuperV3::from_block(&torn), None);
-        // A legacy superblock is not a v3 superblock.
-        let mut legacy = [0u8; BLOCK_SIZE];
-        legacy[0..8].copy_from_slice(&SUPER_MAGIC.to_le_bytes());
-        assert_eq!(SuperV3::from_block(&legacy), None);
+        // A slab header is not a superblock.
+        let mut header = [0u8; BLOCK_SIZE];
+        header[0..8].copy_from_slice(&SLAB_MAGIC.to_le_bytes());
+        assert_eq!(SuperV3::from_block(&header), None);
         // Degenerate shard counts are rejected even if checksummed.
         let zero = SuperV3 {
             shard_count: 0,
@@ -1172,13 +1065,6 @@ mod tests {
 
     #[test]
     fn shard_layouts_tile_without_overlap() {
-        let legacy = ShardLayout::legacy();
-        assert_eq!(legacy.superblock(), SUPERBLOCK);
-        assert_eq!(legacy.dir_start(), DIR_START);
-        assert_eq!(legacy.batch_ring_start(), BATCH_RING_START);
-        assert_eq!(legacy.snap_slot(1), SNAP_CATALOG_START + 1);
-        assert_eq!(legacy.data_floor, FIRST_DATA_BLOCK);
-
         let n = 4;
         let mut prev_end = SHARD_SLAB_START;
         for s in 0..n {

@@ -53,10 +53,11 @@ mod store;
 pub use alloc::BlockAllocator;
 pub use cache::BlockCache;
 pub use layout::{
-    digest32, fnv1a, fnv1a_extend, pack_entry, unpack_entry, BatchGroup, BatchRecord, DeltaRecord,
-    Epoch, ObjectId, RootRecord, ShardLayout, SnapCatalog, SnapEntry, SuperV3, BATCH_SLOTS,
-    DELTA_SLOTS, DIGEST_NONE, FNV_OFFSET, MAX_DELTA_PAIRS, MAX_SHARDS, MAX_SNAPSHOTS,
+    digest32, pack_entry, unpack_entry, BatchGroup, BatchRecord, DeltaRecord, Epoch, ObjectId,
+    RootRecord, ShardLayout, SnapCatalog, SnapEntry, SuperV3, BATCH_SLOTS, DELTA_SLOTS,
+    DIGEST_NONE, MAX_DELTA_PAIRS, MAX_SHARDS, MAX_SNAPSHOTS,
 };
+pub use msnap_disk::{fnv1a, fnv1a_extend, FNV_OFFSET};
 pub use radix::{RadixTree, TreeError};
 pub use shard::{ExtentBroker, ObjectStore, VectorCut, DEFAULT_EXTENT_BLOCKS};
 pub use store::{

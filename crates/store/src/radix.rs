@@ -78,8 +78,7 @@ impl std::error::Error for TreeError {}
 enum Child {
     Empty,
     /// At the last level: a data block number plus the digest32 of the
-    /// page contents ([`DIGEST_NONE`] when not yet known — entries decoded
-    /// from pre-digest stores).
+    /// page contents.
     Data {
         block: u64,
         digest: u32,
@@ -118,9 +117,8 @@ struct Node {
     /// The block holding this node's committed image, or `None` if the
     /// node has been modified since the last commit (dirty).
     disk_block: Option<u64>,
-    /// digest32 of the committed image (valid while `disk_block` is
-    /// `Some`). [`DIGEST_NONE`] means unknown — the node was referenced by
-    /// a pre-digest parent; verification backfills it on first hydration.
+    /// digest32 of the committed image while `disk_block` is `Some`;
+    /// [`DIGEST_NONE`] while the node is dirty (not yet flushed).
     disk_digest: u32,
 }
 
@@ -177,8 +175,8 @@ impl Node {
 
 /// Replaces an [`Child::Unloaded`] slot with its resident node (reading it
 /// via `read`) and returns a mutable reference to the node. The image read
-/// back is verified against the digest the parent recorded (skipped when
-/// the parent predates digests); a mismatch is [`TreeError::CorruptNode`].
+/// back is verified against the digest the parent recorded; a mismatch is
+/// [`TreeError::CorruptNode`].
 /// On any error the slot is left `Unloaded` — nothing is poisoned and a
 /// retry starts from the same state.
 fn hydrate_slot<'a>(
@@ -189,7 +187,7 @@ fn hydrate_slot<'a>(
     if let Child::Unloaded { block, digest } = *slot {
         let mut buf = [0u8; BLOCK_SIZE];
         read(block, &mut buf)?;
-        if digest != DIGEST_NONE && digest32(&buf) != digest {
+        if digest32(&buf) != digest {
             return Err(TreeError::CorruptNode { block });
         }
         *slot = Child::Node(Arc::new(Node::parse(block, &buf, level)));
@@ -202,12 +200,12 @@ fn hydrate_slot<'a>(
 
 /// An object's page index: in-memory COW radix tree with dirty tracking.
 ///
-/// `set` marks the touched root-to-leaf path dirty; [`RadixTree::commit`]
-/// assigns fresh blocks to every dirty node (children before parents) and
-/// emits their serialized images, returning the new root block. Blocks
-/// superseded by the commit are reported for recycling — committed nodes
-/// are never mutated in place, which is the COW invariant the crash-
-/// consistency argument rests on.
+/// `set_entry` marks the touched root-to-leaf path dirty;
+/// [`RadixTree::commit`] assigns fresh blocks to every dirty node (children
+/// before parents) and emits their serialized images, returning the new
+/// root block. Blocks superseded by the commit are reported for recycling
+/// — committed nodes are never mutated in place, which is the COW
+/// invariant the crash-consistency argument rests on.
 ///
 /// Cloning is O(1): nodes are `Arc`-shared and copied lazily, path by
 /// path, as either side mutates. A clone taken of a dirty tree keeps its
@@ -240,17 +238,10 @@ impl RadixTree {
 
     /// Wraps a committed root block without reading anything: O(1). Nodes
     /// hydrate on first touch. `root_block == 0` yields an empty tree.
-    /// The root hydrates unverified (no known digest) — prefer
-    /// [`RadixTree::from_committed_digest`] when the root record carries
-    /// one.
-    pub fn from_committed(root_block: u64, len_pages: u64) -> Self {
-        Self::from_committed_digest(root_block, DIGEST_NONE, len_pages)
-    }
-
-    /// [`RadixTree::from_committed`] with the root record's digest of the
-    /// root node image, so the very first hydration is verified too —
-    /// closing the Merkle chain at the top.
-    pub fn from_committed_digest(root_block: u64, root_digest: u32, len_pages: u64) -> Self {
+    /// `root_digest` is the root record's digest of the root node image,
+    /// so the very first hydration is verified too — closing the Merkle
+    /// chain at the top.
+    pub fn from_committed(root_block: u64, root_digest: u32, len_pages: u64) -> Self {
         RadixTree {
             root: if root_block == 0 {
                 Child::Empty
@@ -263,26 +254,6 @@ impl RadixTree {
             freed: Vec::new(),
             len_pages,
         }
-    }
-
-    /// Loads a committed tree eagerly from disk.
-    ///
-    /// `read` reads one block into the provided buffer (the store charges
-    /// the IO cost). `root_block == 0` yields an empty tree. This is the
-    /// pre-lazy-hydration path, kept for ablation and for callers that
-    /// know they will touch everything.
-    pub fn load(
-        root_block: u64,
-        len_pages: u64,
-        read: &mut dyn FnMut(u64, &mut [u8; BLOCK_SIZE]),
-    ) -> Self {
-        let mut tree = Self::from_committed(root_block, len_pages);
-        tree.hydrate_all(&mut |b, out| {
-            read(b, out);
-            Ok(())
-        })
-        .expect("infallible read callback");
-        tree
     }
 
     /// Reads every unloaded node so the whole tree is resident.
@@ -306,10 +277,10 @@ impl RadixTree {
     }
 
     /// Hydrates the root-to-leaf path for `page` without dirtying it.
-    /// After this returns `Ok`, [`RadixTree::get`] and [`RadixTree::set`]
-    /// on `page` cannot cross an unloaded node. On error nothing has been
-    /// mutated except already-completed hydrations (which are semantically
-    /// neutral), so retrying is safe.
+    /// After this returns `Ok`, [`RadixTree::get`] and
+    /// [`RadixTree::set_entry`] on `page` cannot cross an unloaded node.
+    /// On error nothing has been mutated except already-completed
+    /// hydrations (which are semantically neutral), so retrying is safe.
     pub fn hydrate_path(&mut self, page: u64, read: BlockRead) -> Result<(), TreeError> {
         assert!(page < MAX_PAGES, "page index out of range");
         let mut slot = &mut self.root;
@@ -335,8 +306,7 @@ impl RadixTree {
     }
 
     /// The `(data block, content digest)` entry for `page`, hydrating the
-    /// path on demand. The digest is [`DIGEST_NONE`] for pages written by
-    /// pre-digest stores that have not been rewritten or scrubbed yet.
+    /// path on demand.
     pub fn get_entry_or_load(
         &mut self,
         page: u64,
@@ -346,18 +316,9 @@ impl RadixTree {
         Ok(self.get_entry(page))
     }
 
-    /// [`RadixTree::set`] with demand hydration. The path is hydrated
-    /// *before* any mutation, so an IO error leaves the mapping unchanged.
-    pub fn set_with(
-        &mut self,
-        page: u64,
-        data_block: u64,
-        read: BlockRead,
-    ) -> Result<Option<u64>, TreeError> {
-        self.set_entry_with(page, data_block, DIGEST_NONE, read)
-    }
-
-    /// [`RadixTree::set_entry`] with demand hydration.
+    /// [`RadixTree::set_entry`] with demand hydration. The path is
+    /// hydrated *before* any mutation, so an IO error leaves the mapping
+    /// unchanged.
     pub fn set_entry_with(
         &mut self,
         page: u64,
@@ -411,13 +372,6 @@ impl RadixTree {
         unreachable!()
     }
 
-    /// Points `page` at `data_block` with no recorded content digest —
-    /// [`RadixTree::set_entry`] with [`DIGEST_NONE`]. Kept for callers
-    /// (and tests) that manage blocks without page contents in hand.
-    pub fn set(&mut self, page: u64, data_block: u64) -> Option<u64> {
-        self.set_entry(page, data_block, DIGEST_NONE)
-    }
-
     /// Points `page` at `data_block` (recording `digest` as the digest32
     /// of its contents), COW-dirtying the path. Returns the replaced data
     /// block, if any (the caller recycles it after commit). Shared nodes
@@ -441,7 +395,7 @@ impl RadixTree {
             let node = match slot {
                 Child::Node(n) => Arc::make_mut(n),
                 Child::Unloaded { .. } => {
-                    panic!("set crossed an unloaded subtree; use set_with")
+                    panic!("set crossed an unloaded subtree; use set_entry_with")
                 }
                 _ => unreachable!("interior slots always hold nodes here"),
             };
@@ -464,45 +418,6 @@ impl RadixTree {
             }
             if matches!(node.children[idx], Child::Empty) {
                 node.children[idx] = Child::Node(Arc::new(Node::new()));
-            }
-            slot = &mut node.children[idx];
-        }
-        unreachable!()
-    }
-
-    /// Records `digest` for `page` without remapping it: the digest
-    /// backfill path for pages committed by pre-digest stores. The node
-    /// path is COW-dirtied (so the next full commit persists the digest)
-    /// but the data block itself is *not* superseded. Returns `false` — at
-    /// no cost — when the page is absent or already carries this digest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the path crosses an unloaded subtree — hydrate first
-    /// (scrub walks hydrate as they enumerate).
-    #[allow(clippy::needless_range_loop)] // SHIFT is indexed by level on purpose
-    pub fn backfill_digest(&mut self, page: u64, digest: u32) -> bool {
-        assert!(page < MAX_PAGES, "page index out of range");
-        match self.get_entry(page) {
-            Some((_, d)) if d != digest => {}
-            _ => return false,
-        }
-        let mut slot = &mut self.root;
-        for level in 0..LEVELS {
-            let node = match slot {
-                Child::Node(n) => Arc::make_mut(n),
-                _ => unreachable!("get_entry above proved the path is resident"),
-            };
-            if let Some(b) = node.disk_block.take() {
-                self.freed.push(b);
-            }
-            let idx = ((page >> SHIFT[level]) as usize) & (FANOUT - 1);
-            if level == LEVELS - 1 {
-                match &mut node.children[idx] {
-                    Child::Data { digest: d, .. } => *d = digest,
-                    _ => unreachable!("get_entry above proved the page exists"),
-                }
-                return true;
             }
             slot = &mut node.children[idx];
         }
@@ -611,9 +526,8 @@ impl RadixTree {
     }
 
     /// digest32 of the committed root node's image ([`DIGEST_NONE`] for an
-    /// empty tree or a root adopted from a pre-digest record that has not
-    /// been hydrated yet). Pairs with [`RadixTree::committed_root`] to
-    /// fill a root record.
+    /// empty tree). Pairs with [`RadixTree::committed_root`] to fill a
+    /// root record.
     ///
     /// # Panics
     ///
@@ -1010,6 +924,18 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
 
+    /// The digest the tests record for a data block: its number's digest
+    /// stands in for page contents.
+    fn digest_of(block: u64) -> u32 {
+        digest32(&block.to_le_bytes())
+    }
+
+    impl RadixTree {
+        fn set(&mut self, page: u64, block: u64) -> Option<u64> {
+            self.set_entry(page, block, digest_of(block))
+        }
+    }
+
     #[test]
     fn get_on_empty_tree() {
         let t = RadixTree::new();
@@ -1058,9 +984,13 @@ mod tests {
         assert_eq!(t.dirty_nodes(), 0);
 
         let blocks: HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
-        let loaded = RadixTree::load(root, t.len_pages(), &mut |b, out| {
-            out.copy_from_slice(&blocks[&b]);
-        });
+        let mut loaded = RadixTree::from_committed(root, t.committed_root_digest(), t.len_pages());
+        loaded
+            .hydrate_all(&mut |b, out| {
+                out.copy_from_slice(&blocks[&b]);
+                Ok(())
+            })
+            .unwrap();
         assert_eq!(loaded.pages(), t.pages());
         assert_eq!(loaded.len_pages(), t.len_pages());
     }
@@ -1153,7 +1083,8 @@ mod tests {
             &mut writes,
         );
         let blocks: HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
-        (RadixTree::from_committed(root, t.len_pages()), blocks)
+        let lazy = RadixTree::from_committed(root, t.committed_root_digest(), t.len_pages());
+        (lazy, blocks)
     }
 
     #[test]
@@ -1285,11 +1216,11 @@ mod tests {
     }
 
     #[test]
-    fn lazy_set_with_hydrates_then_dirties() {
+    fn lazy_set_entry_with_hydrates_then_dirties() {
         let mut next = 1_000u64;
         let (mut lazy, blocks) = committed_on_disk(&[(0, 100), (513, 101)], &mut next);
         let old = lazy
-            .set_with(0, 999, &mut |b, out| {
+            .set_entry_with(0, 999, digest_of(999), &mut |b, out| {
                 out.copy_from_slice(&blocks[&b]);
                 Ok(())
             })
@@ -1327,7 +1258,7 @@ mod tests {
         let (mut lazy, blocks) = committed_on_disk(&[(0, 100), (513, 101)], &mut next);
         let old_root = lazy.committed_root();
         // Dirty one path; the sibling subtree stays unloaded.
-        lazy.set_with(0, 999, &mut |b, out| {
+        lazy.set_entry_with(0, 999, digest_of(999), &mut |b, out| {
             out.copy_from_slice(&blocks[&b]);
             Ok(())
         })
@@ -1369,6 +1300,7 @@ mod tests {
             },
             &mut writes,
         );
+        let digest1 = t.committed_root_digest();
         blocks.extend(writes);
         // Advance the tree by one page and commit again.
         t.set(513, 200);
@@ -1380,10 +1312,11 @@ mod tests {
             },
             &mut writes,
         );
+        let digest2 = t.committed_root_digest();
         blocks.extend(writes);
 
-        let mut base = RadixTree::from_committed(root1, t.len_pages());
-        let mut target = RadixTree::from_committed(root2, t.len_pages());
+        let mut base = RadixTree::from_committed(root1, digest1, t.len_pages());
+        let mut target = RadixTree::from_committed(root2, digest2, t.len_pages());
         let mut reads = Vec::new();
         let diff = RadixTree::diff_pages_with(Some(&mut base), &mut target, &mut |b, out| {
             reads.push(b);
@@ -1401,8 +1334,8 @@ mod tests {
             reads.len()
         );
         // Equal lazy trees diff with zero reads: the root refs match.
-        let mut x = RadixTree::from_committed(root2, t.len_pages());
-        let mut y = RadixTree::from_committed(root2, t.len_pages());
+        let mut x = RadixTree::from_committed(root2, digest2, t.len_pages());
+        let mut y = RadixTree::from_committed(root2, digest2, t.len_pages());
         let diff = RadixTree::diff_pages_with(Some(&mut x), &mut y, &mut |_b, _out| {
             panic!("identical trees must not hydrate")
         })
@@ -1427,7 +1360,7 @@ mod tests {
         let root_digest = t.committed_root_digest();
         assert_ne!(root_digest, DIGEST_NONE);
         let blocks: HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
-        let mut lazy = RadixTree::from_committed_digest(root, root_digest, t.len_pages());
+        let mut lazy = RadixTree::from_committed(root, root_digest, t.len_pages());
         let mut read = |b: u64, out: &mut [u8; BLOCK_SIZE]| {
             out.copy_from_slice(&blocks[&b]);
             Ok(())
@@ -1467,8 +1400,7 @@ mod tests {
         };
         blocks.get_mut(&l1).unwrap()[3] ^= 0x40;
 
-        let mut lazy =
-            RadixTree::from_committed_digest(root, t.committed_root_digest(), t.len_pages());
+        let mut lazy = RadixTree::from_committed(root, t.committed_root_digest(), t.len_pages());
         let err = lazy
             .get_or_load(0, &mut |b, out| {
                 out.copy_from_slice(&blocks[&b]);
@@ -1485,52 +1417,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(got, Some(100));
-    }
-
-    #[test]
-    fn unverified_roots_hydrate_and_backfill_digests() {
-        // A pre-digest store: entry words carry no high bits. Hydration
-        // must accept them (digest DIGEST_NONE) and parse() must record
-        // the actual image digest so later commits re-chain the tree.
-        let mut t = RadixTree::new();
-        t.set(0, 100); // DIGEST_NONE entry, as a v1 store would hold
-        let mut next = 1_000u64;
-        let mut writes = Vec::new();
-        let root = t.commit(
-            &mut || {
-                next += 1;
-                next
-            },
-            &mut writes,
-        );
-        let blocks: HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
-        let mut lazy = RadixTree::from_committed(root, t.len_pages()); // no root digest
-        assert_eq!(
-            lazy.get_entry_or_load(0, &mut |b, out| {
-                out.copy_from_slice(&blocks[&b]);
-                Ok(())
-            })
-            .unwrap(),
-            Some((100, DIGEST_NONE))
-        );
-        // Hydration recorded the actual root-image digest.
-        assert_ne!(lazy.committed_root_digest(), DIGEST_NONE);
-    }
-
-    #[test]
-    fn backfill_digest_dirties_the_path_but_keeps_the_block() {
-        let mut next = 1_000u64;
-        let mut t = committed(&[(0, 100)], &mut next);
-        assert_eq!(t.get_entry(0), Some((100, DIGEST_NONE)));
-        assert!(t.backfill_digest(0, 0x77));
-        assert_eq!(t.get_entry(0), Some((100, 0x77)));
-        assert_eq!(t.dirty_nodes(), LEVELS, "path dirtied for persistence");
-        let freed = t.take_freed();
-        assert_eq!(freed.len(), LEVELS, "node images superseded");
-        assert!(!freed.contains(&100), "the data block itself is kept");
-        // Idempotent: same digest again is free.
-        assert!(!t.backfill_digest(0, 0x77));
-        assert!(!t.backfill_digest(5, 0x77), "absent page is a no-op");
     }
 
     #[test]

@@ -25,16 +25,15 @@
 //!   commit it names is durable* — recovery and replica promotion can
 //!   always land on a complete cut, never a mixed-epoch manifest.
 //!
-//! Legacy devices (v1/v2 superblock) open as a single-shard store with
-//! byte-identical layout; [`ObjectStore::format`] still produces one.
+//! A one-shard store is the same format with `N = 1`: its cuts are
+//! durable and its allocator works out of broker extents too.
 
-use msnap_disk::{Disk, IoError, BLOCK_SIZE};
+use msnap_disk::{fnv1a, Disk, IoError, BLOCK_SIZE};
 use msnap_sim::{Category, Nanos, Vt};
 
-use crate::alloc::BlockAllocator;
 use crate::layout::{
-    fnv1a, CutRecord, Epoch, ObjectId, ShardLayout, SnapEntry, SuperV3, CUT_SLOTS, CUT_SLOT_START,
-    MAX_SHARDS, SHARD_ID_SHIFT, SUPER_MAGIC, SUPER_MAGIC_V3,
+    CutRecord, Epoch, ObjectId, ShardLayout, SnapEntry, SuperV3, CUT_SLOTS, CUT_SLOT_START,
+    MAX_SHARDS, SHARD_ID_SHIFT,
 };
 use crate::store::{
     CommitToken, ScrubStats, StoreError, StoreShard, StoreStats, UnrepairedPage, MAX_IO_ATTEMPTS,
@@ -120,36 +119,26 @@ impl VectorCut {
 
 /// The sharded copy-on-write object store: the crate's public store
 /// type. Owns `N` [`StoreShard`]s, the [`ExtentBroker`] partitioning
-/// the data area between them, and the epoch-vector cut state. With
-/// `N = 1` (the [`ObjectStore::format`] / legacy-open path) it is a
-/// zero-overhead passthrough with the exact on-disk layout of earlier
-/// versions.
+/// the data area between them, and the epoch-vector cut state.
 pub struct ObjectStore {
     shards: Vec<StoreShard>,
-    /// `None` in legacy single-shard mode (the shard's own
-    /// capacity-bounded allocator governs space).
-    broker: Option<ExtentBroker>,
+    broker: ExtentBroker,
     /// Next cut sequence number.
     cut_seq: u64,
-    /// Newest stamped (v3: durable) cut.
+    /// Newest durable cut.
     last_cut: Option<VectorCut>,
 }
 
 impl ObjectStore {
-    /// Formats `disk` as a legacy single-shard store (byte-identical to
-    /// earlier versions) and returns it.
+    /// Formats `disk` as a one-shard store and returns it: the same as
+    /// [`ObjectStore::format_sharded`] with one shard.
     pub fn format(disk: &mut Disk) -> Self {
-        ObjectStore {
-            shards: vec![StoreShard::format(disk)],
-            broker: None,
-            cut_seq: 0,
-            last_cut: None,
-        }
+        Self::format_sharded(disk, 1)
     }
 
-    /// Formats `disk` as a v3 sharded store with `shard_count` shards
-    /// and returns it. Writes the v3 superblock, the initial
-    /// (all-zeros) cut record, and each shard's metadata slab.
+    /// Formats `disk` as a store with `shard_count` shards and returns
+    /// it. Writes the superblock, the initial (all-zeros) cut record, and
+    /// each shard's metadata slab.
     ///
     /// # Panics
     ///
@@ -182,23 +171,18 @@ impl ObjectStore {
                     .expect("formatting a faulty device is unsupported");
             }
         }
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut data_floor = 0;
-        for s in 0..shard_count {
-            let layout = ShardLayout::sharded(s, shard_count);
-            data_floor = layout.data_floor;
-            let alloc = BlockAllocator::bounded(layout.data_floor, layout.data_floor);
-            shards.push(StoreShard::format_at(disk, layout, alloc));
-        }
+        let shards = (0..shard_count)
+            .map(|s| StoreShard::format_at(disk, ShardLayout::sharded(s, shard_count)))
+            .collect();
         disk.settle();
         let broker = ExtentBroker::new(
-            data_floor,
+            ShardLayout::sharded(0, shard_count).data_floor,
             DEFAULT_EXTENT_BLOCKS,
             disk.config().capacity_blocks,
         );
         ObjectStore {
             shards,
-            broker: Some(broker),
+            broker,
             cut_seq: 1,
             last_cut: Some(VectorCut {
                 seq: 0,
@@ -207,40 +191,21 @@ impl ObjectStore {
         }
     }
 
-    /// Opens the store from a (possibly crashed) device, sniffing the
-    /// superblock: a legacy (v1/v2) device opens as a single-shard
-    /// store, a v3 device opens every shard and adopts the newest
-    /// durable complete [`VectorCut`].
+    /// Opens the store from a (possibly crashed) device: opens every
+    /// shard and adopts the newest durable complete [`VectorCut`].
     ///
     /// # Errors
     ///
-    /// [`StoreError::NotFormatted`] if the superblock is neither magic.
+    /// [`StoreError::NotFormatted`] if block 0 is not a valid superblock.
     pub fn open(vt: &mut Vt, disk: &mut Disk) -> Result<Self, StoreError> {
         let mut sb = [0u8; BLOCK_SIZE];
         disk.read_block(vt, 0, &mut sb);
-        let magic = u64::from_le_bytes(sb[0..8].try_into().unwrap());
-        if magic == SUPER_MAGIC {
-            return Ok(ObjectStore {
-                shards: vec![StoreShard::open(vt, disk)?],
-                broker: None,
-                cut_seq: 0,
-                last_cut: None,
-            });
-        }
-        if magic != SUPER_MAGIC_V3 {
-            return Err(StoreError::NotFormatted);
-        }
         let sup = SuperV3::from_block(&sb).ok_or(StoreError::NotFormatted)?;
         let n = sup.shard_count as usize;
         let extent = sup.extent_blocks;
         let mut shards = Vec::with_capacity(n);
         for s in 0..n {
-            shards.push(StoreShard::open_at(
-                vt,
-                disk,
-                ShardLayout::sharded(s, n),
-                true,
-            )?);
+            shards.push(StoreShard::open_at(vt, disk, ShardLayout::sharded(s, n))?);
         }
         // Re-grant each shard the unused tail of the extent its frontier
         // stopped in (extent boundaries are `extent`-aligned relative to
@@ -290,7 +255,7 @@ impl ObjectStore {
         let cut_seq = best.as_ref().map_or(0, |b| b.seq + 1);
         Ok(ObjectStore {
             shards,
-            broker: Some(broker),
+            broker,
             cut_seq,
             last_cut: best,
         })
@@ -338,8 +303,7 @@ impl ObjectStore {
         loop {
             match op(&mut self.shards[shard]) {
                 Err(StoreError::OutOfSpace) => {
-                    let Some((start, end)) = self.broker.as_mut().and_then(|b| b.grant(extents))
-                    else {
+                    let Some((start, end)) = self.broker.grant(extents) else {
                         return Err(StoreError::OutOfSpace);
                     };
                     self.shards[shard].grant_range(start, end);
@@ -425,21 +389,19 @@ impl ObjectStore {
         self.shards.iter().map(|s| s.epoch_sum()).collect()
     }
 
-    /// The newest stamped cut, if any.
+    /// The newest durable cut, if any.
     pub fn last_cut(&self) -> Option<&VectorCut> {
         self.last_cut.as_ref()
     }
 
-    /// Stamps (and on v3 devices durably persists) an epoch-vector cut.
+    /// Stamps and durably persists an epoch-vector cut.
     ///
     /// This is the *stamp* phase of the fuzzy cut: callers first drain
     /// in-flight group-commit tickets (flush open batches), then stamp,
     /// then release new commits. The cut record is submitted no earlier
     /// than every shard's durability frontier, so a durable cut record
     /// implies every commit it counts is durable — the invariant the
-    /// crash sweep and replica promotion rely on. On legacy single-shard
-    /// devices the cut is stamped in memory only (there is no cut slot
-    /// in the v1/v2 layout).
+    /// crash sweep and replica promotion rely on.
     ///
     /// # Errors
     ///
@@ -449,25 +411,23 @@ impl ObjectStore {
             seq: self.cut_seq,
             epochs: self.epoch_vector(),
         };
-        if self.broker.is_some() {
-            let rec = CutRecord {
-                seq: cut.seq,
-                epochs: cut.epochs.clone(),
-            };
-            let at = self
-                .shards
-                .iter()
-                .map(|s| s.max_chain_completes())
-                .max()
-                .unwrap_or(Nanos::ZERO)
-                .max(vt.now());
-            let block = rec.to_block();
-            let token =
-                write_retry(disk, at, CutRecord::slot(rec.seq), &block).map_err(StoreError::Io)?;
-            let wait = token.completes().saturating_sub(vt.now());
-            if wait > Nanos::ZERO {
-                vt.charge(Category::IoWait, wait);
-            }
+        let rec = CutRecord {
+            seq: cut.seq,
+            epochs: cut.epochs.clone(),
+        };
+        let at = self
+            .shards
+            .iter()
+            .map(|s| s.max_chain_completes())
+            .max()
+            .unwrap_or(Nanos::ZERO)
+            .max(vt.now());
+        let block = rec.to_block();
+        let token =
+            write_retry(disk, at, CutRecord::slot(rec.seq), &block).map_err(StoreError::Io)?;
+        let wait = token.completes().saturating_sub(vt.now());
+        if wait > Nanos::ZERO {
+            vt.charge(Category::IoWait, wait);
         }
         self.cut_seq += 1;
         self.last_cut = Some(cut.clone());
@@ -898,7 +858,6 @@ fn add_scrub(a: ScrubStats, b: ScrubStats) -> ScrubStats {
         corruptions_found: a.corruptions_found + b.corruptions_found,
         repairs: a.repairs + b.repairs,
         unrepaired: a.unrepaired + b.unrepaired,
-        digests_backfilled: a.digests_backfilled + b.digests_backfilled,
         io_spent: a.io_spent + b.io_spent,
         passes: a.passes + b.passes,
     }
@@ -931,28 +890,30 @@ mod tests {
     }
 
     #[test]
-    fn legacy_format_is_single_shard_passthrough() {
+    fn one_shard_format_round_trips_with_a_durable_cut() {
         let mut disk = Disk::new(DiskConfig::paper());
         let mut store = ObjectStore::format(&mut disk);
         let mut vt = Vt::new(0);
         assert_eq!(store.shard_count(), 1);
         let obj = store.create(&mut vt, &mut disk, "a").unwrap();
-        assert_eq!(obj, ObjectId(0), "shard 0 ids are identical to legacy");
+        assert_eq!(obj, ObjectId(0), "shard 0 ids are shard-local ids");
         let page = page_of(7);
         let tok = store
             .persist(&mut vt, &mut disk, obj, &[(0, &page)])
             .unwrap();
         assert_eq!(tok.epoch, 1);
         ObjectStore::wait(&mut vt, tok);
-        // A legacy device re-opens through the sniffing path.
+        let cut = store.cut(&mut vt, &mut disk).unwrap();
+        assert_eq!(cut.epochs, vec![1]);
         disk.crash(vt.now());
         let mut reopened = ObjectStore::open(&mut vt, &mut disk).unwrap();
         assert_eq!(reopened.shard_count(), 1);
+        assert_eq!(reopened.last_cut(), Some(&cut), "the cut is durable");
         let mut out = [0u8; BLOCK_SIZE];
         reopened
             .read_page(&mut vt, &mut disk, ObjectId(0), 0, &mut out)
             .unwrap();
-        assert_eq!(out[..8], page[..8]);
+        assert_eq!(out[..], page[..]);
     }
 
     #[test]

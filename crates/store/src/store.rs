@@ -15,14 +15,14 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
-use msnap_disk::{Disk, IoError, WriteToken, BLOCK_SIZE};
+use msnap_disk::{fnv1a_extend, Disk, IoError, WriteToken, BLOCK_SIZE, FNV_OFFSET};
 use msnap_sim::{Category, Nanos, Vt};
 
 use crate::layout::{
     self, BatchGroup, BatchRecord, DeltaRecord, DirEntry, Epoch, ObjectId, RootRecord, ShardLayout,
-    SnapCatalog, SnapEntry, BATCH_SLOTS, DELTA_SLOTS, DIGEST_NONE, DIR_BLOCKS, DIR_ENTRY_LEN,
-    ENTRIES_PER_BLOCK, FIRST_DATA_BLOCK, MAX_DELTA_PAIRS, MAX_OBJECTS, MAX_SNAPSHOTS, NAME_LEN,
-    OBJECT_META_BLOCKS, SNAP_CATALOG_SLOTS, SUPER_MAGIC,
+    SnapCatalog, SnapEntry, BATCH_SLOTS, DELTA_SLOTS, DIR_BLOCKS, DIR_ENTRY_LEN, ENTRIES_PER_BLOCK,
+    MAX_DELTA_PAIRS, MAX_OBJECTS, MAX_SNAPSHOTS, NAME_LEN, OBJECT_META_BLOCKS, SLAB_MAGIC,
+    SNAP_CATALOG_SLOTS,
 };
 use crate::radix::TreeError;
 use crate::{BlockAllocator, BlockCache, RadixTree};
@@ -265,9 +265,6 @@ pub struct ScrubStats {
     /// Corruptions with no clean local source: quarantined and reported
     /// through [`StoreShard::unrepaired_pages`], awaiting a peer copy.
     pub unrepaired: u64,
-    /// Old-layout (pre-digest) leaf entries backfilled with a freshly
-    /// computed digest during the scrub walk.
-    pub digests_backfilled: u64,
     /// Device block reads the scrub spent — its IO budget consumption.
     pub io_spent: u64,
     /// Full passes over the radix forest completed.
@@ -334,7 +331,7 @@ struct ObjectState {
 /// epoch's (fully committed) tree for point-in-time reads and diffs, and
 /// the exact block set the snapshot pins.
 ///
-/// After [`StoreShard::open`] the tree is *unloaded* (an O(1) wrapper
+/// After [`StoreShard::open_at`] the tree is *unloaded* (an O(1) wrapper
 /// around the catalog's root block) and `pinned` is false: `blocks` is
 /// empty and no pins are registered. Pins materialize on demand — see
 /// [`StoreShard::ensure_pins`] — before the store frees its first
@@ -349,11 +346,10 @@ struct SnapState {
 
 /// One shard of the copy-on-write object store: a complete store in its
 /// own right (allocator, radix forest, batch ring, snapshot catalog)
-/// whose metadata slab lives at a [`ShardLayout`]-determined base. A
-/// legacy single-shard store is exactly a `StoreShard` with the
-/// `base = 0` layout; the sharded [`crate::ObjectStore`] wrapper owns
-/// `N` of these plus the extent broker that partitions the data area
-/// between them. See the crate and module docs.
+/// whose metadata slab lives at a [`ShardLayout`]-determined base. The
+/// sharded [`crate::ObjectStore`] wrapper owns `N` of these plus the
+/// extent broker that partitions the data area between them. See the
+/// crate and module docs.
 pub struct StoreShard {
     layout: ShardLayout,
     alloc: BlockAllocator,
@@ -420,27 +416,18 @@ impl fmt::Debug for StoreShard {
 }
 
 impl StoreShard {
-    /// Formats `disk` with an empty store and returns it.
+    /// Formats one shard's metadata slab at `layout` and returns the
+    /// empty shard. Its allocator holds no blocks until the owner grants
+    /// a range ([`StoreShard::grant_range`]). The caller settles the
+    /// device once all shards are formatted.
     ///
     /// Formatting happens before any workload runs; injecting faults into
     /// it is unsupported, so a device error here is a setup bug and
     /// panics.
-    pub fn format(disk: &mut Disk) -> Self {
-        let alloc = BlockAllocator::with_capacity(FIRST_DATA_BLOCK, disk.config().capacity_blocks);
-        let shard = Self::format_at(disk, ShardLayout::legacy(), alloc);
-        disk.settle();
-        shard
-    }
-
-    /// Formats one shard's metadata slab at `layout` and returns the
-    /// shard working out of `alloc`. Used by the legacy [`StoreShard::format`]
-    /// (layout base 0, capacity-bounded allocator) and by the sharded
-    /// wrapper (per-shard slabs, broker-range-bounded allocators). The
-    /// caller settles the device once all shards are formatted.
-    pub(crate) fn format_at(disk: &mut Disk, layout: ShardLayout, alloc: BlockAllocator) -> Self {
-        let mut sb = [0u8; BLOCK_SIZE];
-        sb[0..8].copy_from_slice(&SUPER_MAGIC.to_le_bytes());
-        disk.write_block_at(Nanos::ZERO, layout.superblock(), &sb)
+    pub(crate) fn format_at(disk: &mut Disk, layout: ShardLayout) -> Self {
+        let mut header = [0u8; BLOCK_SIZE];
+        header[0..8].copy_from_slice(&SLAB_MAGIC.to_le_bytes());
+        disk.write_block_at(Nanos::ZERO, layout.header(), &header)
             .expect("formatting a faulty device is unsupported");
         let zero = [0u8; BLOCK_SIZE];
         let dir = layout.dir_start();
@@ -455,7 +442,7 @@ impl StoreShard {
         }
         StoreShard {
             layout,
-            alloc,
+            alloc: BlockAllocator::new(layout.data_floor, layout.data_floor),
             objects: Vec::new(),
             by_name: HashMap::new(),
             pending_free: BinaryHeap::new(),
@@ -478,9 +465,11 @@ impl StoreShard {
         }
     }
 
-    /// Opens the store from a (possibly crashed) device: adopt each
-    /// object's newest valid full root, replay consecutive delta records
-    /// on top, and rebuild the allocator past every reachable block.
+    /// Opens one shard from its metadata slab at `layout` on a (possibly
+    /// crashed) device: adopt each object's newest valid full root,
+    /// replay consecutive delta records on top, and restart the allocator
+    /// frontier past every reachable block. The allocator holds no blocks
+    /// until the owner re-grants the tail of the frontier's extent.
     ///
     /// Recovery IO is **O(dirty set), not O(object size)**: trees are
     /// adopted as unloaded wrappers around their committed root blocks
@@ -495,25 +484,15 @@ impl StoreShard {
     ///
     /// # Errors
     ///
-    /// [`StoreError::NotFormatted`] if the superblock is missing.
-    pub fn open(vt: &mut Vt, disk: &mut Disk) -> Result<Self, StoreError> {
-        Self::open_at(vt, disk, ShardLayout::legacy(), false)
-    }
-
-    /// Opens one shard from its metadata slab at `layout`. With
-    /// `bounded_alloc` the recovered allocator is range-bounded at its
-    /// own frontier (hands out nothing until the wrapper re-grants the
-    /// tail of the frontier's extent); without it the allocator bumps
-    /// freely to the device capacity — the legacy single-shard mode.
+    /// [`StoreError::NotFormatted`] if the slab header is missing.
     pub(crate) fn open_at(
         vt: &mut Vt,
         disk: &mut Disk,
         layout: ShardLayout,
-        bounded_alloc: bool,
     ) -> Result<Self, StoreError> {
-        let mut sb = [0u8; BLOCK_SIZE];
-        disk.read_block(vt, layout.superblock(), &mut sb);
-        if u64::from_le_bytes(sb[0..8].try_into().unwrap()) != SUPER_MAGIC {
+        let mut header = [0u8; BLOCK_SIZE];
+        disk.read_block(vt, layout.header(), &mut header);
+        if u64::from_le_bytes(header[0..8].try_into().unwrap()) != SLAB_MAGIC {
             return Err(StoreError::NotFormatted);
         }
 
@@ -556,7 +535,6 @@ impl StoreShard {
 
             // Newest valid full root.
             let mut base: Option<RootRecord> = None;
-            let mut base_slot_index = 0;
             for i in 0..2 {
                 vt.charge(Category::FileSystem, costs::ROOT_PARSE);
                 disk.read_block(vt, entry.meta_base + i, &mut buf);
@@ -569,14 +547,13 @@ impl StoreShard {
                         rec.epoch > b.epoch || (rec.epoch == b.epoch && rec.flush_seq > b.flush_seq)
                     }) {
                         base = Some(rec);
-                        base_slot_index = i;
                     }
                 }
             }
             let base_epoch = base.map_or(0, |b| b.epoch);
             let mut tree = match base {
                 Some(rec) => {
-                    RadixTree::from_committed_digest(rec.tree_root, rec.root_digest, rec.len_pages)
+                    RadixTree::from_committed(rec.tree_root, rec.root_digest, rec.len_pages)
                 }
                 None => RadixTree::new(),
             };
@@ -631,12 +608,12 @@ impl StoreShard {
                 }
                 let delta = &deltas[i];
                 i += 1;
-                let mut sum = layout::FNV_OFFSET;
+                let mut sum = FNV_OFFSET;
                 let mut digests = Vec::with_capacity(delta.pairs.len());
                 for (_, word) in &delta.pairs {
                     let (block, _) = layout::unpack_entry(*word);
                     disk.read_block(vt, block, &mut buf);
-                    sum = layout::fnv1a_extend(sum, &buf);
+                    sum = fnv1a_extend(sum, &buf);
                     digests.push(layout::digest32(&buf));
                 }
                 if sum != delta.payload_sum {
@@ -669,8 +646,7 @@ impl StoreShard {
                 for ((page, word), digest) in delta.pairs.iter().zip(digests) {
                     let (block, _) = layout::unpack_entry(*word);
                     // The payload checksum above just verified the data,
-                    // so the freshly computed digest is authoritative —
-                    // pre-digest (v1) records backfill here for free.
+                    // so the freshly computed digest is authoritative.
                     tree.set_entry(*page, block, digest);
                     high_water = high_water.max(block + 1);
                 }
@@ -697,15 +673,7 @@ impl StoreShard {
                 epoch,
                 last_commit: Nanos::ZERO,
                 deltas_since_full: epoch - base_epoch,
-                // v2 roots persist their full-root sequence number; v1
-                // roots (flush_seq 0) fall back to the slot-parity rule.
-                full_count: base.map_or(0, |b| {
-                    if b.flush_seq > 0 {
-                        b.flush_seq
-                    } else {
-                        base_slot_index + 1
-                    }
-                }),
+                full_count: base.map_or(0, |b| b.flush_seq),
                 node_freed_pending: Vec::new(),
                 chain_completes: Nanos::ZERO,
             });
@@ -746,11 +714,8 @@ impl StoreShard {
                 continue; // catalog can never outrun the directory
             }
             high_water = high_water.max(entry.tree_root + 1);
-            let tree = RadixTree::from_committed_digest(
-                entry.tree_root,
-                entry.root_digest,
-                entry.len_pages,
-            );
+            let tree =
+                RadixTree::from_committed(entry.tree_root, entry.root_digest, entry.len_pages);
             snap_by_name.insert(entry.name.clone(), snapshots.len());
             snapshots.push(SnapState {
                 entry,
@@ -763,14 +728,10 @@ impl StoreShard {
 
         Ok(StoreShard {
             layout,
-            alloc: if bounded_alloc {
-                // The wrapper re-grants the unallocated tail of the
-                // frontier's extent (and anything newer) from broker
-                // state it recovers across all shards.
-                BlockAllocator::bounded(high_water, high_water)
-            } else {
-                BlockAllocator::with_capacity(high_water, disk.config().capacity_blocks)
-            },
+            // The wrapper re-grants the unallocated tail of the frontier's
+            // extent (and anything newer) from broker state it recovers
+            // across all shards.
+            alloc: BlockAllocator::new(high_water, high_water),
             objects,
             by_name,
             pending_free: BinaryHeap::new(),
@@ -1021,9 +982,7 @@ impl StoreShard {
                 .iter()
                 .map(|(p, _)| p + 1)
                 .fold(state.tree.len_pages(), u64::max);
-            let payload_sum = iov
-                .iter()
-                .fold(layout::FNV_OFFSET, |h, (_, d)| layout::fnv1a_extend(h, d));
+            let payload_sum = iov.iter().fold(FNV_OFFSET, |h, (_, d)| fnv1a_extend(h, d));
             let record = DeltaRecord {
                 object,
                 epoch,
@@ -1303,11 +1262,11 @@ impl StoreShard {
                 .map(|(p, _)| p + 1)
                 .fold(state.tree.len_pages(), u64::max);
             let mut pairs = Vec::with_capacity(pages.len());
-            let mut payload_sum = layout::FNV_OFFSET;
+            let mut payload_sum = FNV_OFFSET;
             for (page, data) in *pages {
                 pairs.push((*page, layout::pack_entry(next, layout::digest32(data))));
                 iov.push((next, *data));
-                payload_sum = layout::fnv1a_extend(payload_sum, data);
+                payload_sum = fnv1a_extend(payload_sum, data);
                 next += 1;
             }
             rec_groups.push(BatchGroup {
@@ -1377,7 +1336,7 @@ impl StoreShard {
     }
 
     /// Materializes the pin sets of snapshots adopted unloaded by
-    /// [`StoreShard::open`]: hydrates each snapshot tree (through the
+    /// [`StoreShard::open_at`]: hydrates each snapshot tree (through the
     /// block cache) and registers its reachable blocks in `snap_pins`.
     ///
     /// Called before any path that can free a block (recycling, snapshot
@@ -1646,10 +1605,7 @@ impl StoreShard {
         match entry {
             Some((block, digest)) => {
                 read_block_cached(vt, disk, cache, stats, block, out, false)?;
-                // Digests from pre-digest snapshots are unknown and skip
-                // verification (no backfill either: a snapshot tree's
-                // committed structure must stay intact for pins/diffs).
-                if digest != DIGEST_NONE && layout::digest32(out) != digest {
+                if layout::digest32(out) != digest {
                     cache.invalidate(block);
                     self.quarantined.insert(block);
                     let epoch = snap.entry.epoch;
@@ -1989,13 +1945,7 @@ impl StoreShard {
         match entry {
             Some((block, digest)) => {
                 read_block_cached(vt, disk, cache, stats, block, out, false)?;
-                let actual = layout::digest32(out);
-                if digest == DIGEST_NONE {
-                    // Pre-digest (v1) entry: adopt the digest on first
-                    // read; the next commit that flushes this leaf
-                    // persists it.
-                    state.tree.backfill_digest(page, actual);
-                } else if actual != digest {
+                if layout::digest32(out) != digest {
                     // Never serve rotted bytes: quarantine and surface.
                     cache.invalidate(block);
                     self.quarantined.insert(block);
@@ -2071,7 +2021,7 @@ impl StoreShard {
                         .tree
                         .committed_nodes()
                         .into_iter()
-                        .filter(|(b, d)| *d != DIGEST_NONE && !self.scrub_verified.contains(b))
+                        .filter(|(b, _)| !self.scrub_verified.contains(b))
                         .collect();
                     let mut corrupt = None;
                     for (block, digest) in worklist {
@@ -2149,16 +2099,7 @@ impl StoreShard {
                 self.scrub_stats.io_spent += 1;
                 next_page = page + 1;
                 disk.try_read_block(vt, block, &mut buf)?;
-                let actual = layout::digest32(&buf);
-                if digest == DIGEST_NONE {
-                    // Pre-digest entry: the read-back is the lazy
-                    // backfill the old layout is promised.
-                    self.objects[obj_idx].tree.backfill_digest(page, actual);
-                    self.scrub_stats.digests_backfilled += 1;
-                    self.scrub_stats.pages_verified += 1;
-                    continue;
-                }
-                if actual == digest {
+                if layout::digest32(&buf) == digest {
                     self.scrub_stats.pages_verified += 1;
                     continue;
                 }
@@ -2224,7 +2165,6 @@ impl StoreShard {
             corruptions_found: now.corruptions_found - before.corruptions_found,
             repairs: now.repairs - before.repairs,
             unrepaired: now.unrepaired - before.unrepaired,
-            digests_backfilled: now.digests_backfilled - before.digests_backfilled,
             io_spent: now.io_spent - before.io_spent,
             passes: now.passes - before.passes,
         }
@@ -2341,14 +2281,14 @@ impl StoreShard {
         let Some((block, digest)) = entry else {
             return Err(StoreError::NotFound);
         };
-        if digest != DIGEST_NONE && layout::digest32(data) != digest {
+        if layout::digest32(data) != digest {
             return Err(StoreError::RepairMismatch);
         }
         // Check the current media so repairing an already-clean page
         // stays an ordinary (harmless) rewrite without quarantining.
         let mut buf = [0u8; BLOCK_SIZE];
         disk.try_read_block(vt, block, &mut buf)?;
-        let was_corrupt = digest != DIGEST_NONE && layout::digest32(&buf) != digest;
+        let was_corrupt = layout::digest32(&buf) != digest;
         if was_corrupt {
             self.cache.invalidate(block);
             self.quarantined.insert(block);
@@ -2390,9 +2330,36 @@ mod tests {
         vec![byte; BLOCK_SIZE]
     }
 
+    /// The layout of a one-shard store.
+    fn layout() -> ShardLayout {
+        ShardLayout::sharded(0, 1)
+    }
+
+    /// Grants `shard` every block from its frontier to the device end:
+    /// these tests drive one shard directly, without the extent broker.
+    fn grant_rest(shard: &mut StoreShard, disk: &Disk) {
+        let end = disk.config().capacity_blocks.unwrap_or(u64::MAX);
+        if shard.high_water() < end {
+            shard.grant_range(shard.high_water(), end);
+        }
+    }
+
+    fn format(disk: &mut Disk) -> StoreShard {
+        let mut shard = StoreShard::format_at(disk, layout());
+        disk.settle();
+        grant_rest(&mut shard, disk);
+        shard
+    }
+
+    fn open(vt: &mut Vt, disk: &mut Disk) -> Result<StoreShard, StoreError> {
+        let mut shard = StoreShard::open_at(vt, disk, layout())?;
+        grant_rest(&mut shard, disk);
+        Ok(shard)
+    }
+
     fn setup() -> (Disk, StoreShard, Vt) {
         let mut disk = Disk::new(DiskConfig::paper());
-        let store = StoreShard::format(&mut disk);
+        let store = format(&mut disk);
         (disk, store, Vt::new(0))
     }
 
@@ -2491,7 +2458,7 @@ mod tests {
         disk.settle();
 
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         assert_eq!(store2.epoch(obj2), 5, "delta replay recovers all epochs");
         let mut out = page_of(0);
@@ -2516,7 +2483,7 @@ mod tests {
         disk.settle();
 
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         assert_eq!(store2.epoch(obj2), total);
         let mut out = page_of(0);
@@ -2542,7 +2509,7 @@ mod tests {
         disk.crash(t2.completes - Nanos::from_ns(1));
 
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         assert_eq!(store2.epoch(obj2), 1, "recovery adopts the previous epoch");
         let mut out = page_of(0);
@@ -2561,7 +2528,7 @@ mod tests {
         disk.crash(t.completes);
 
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         assert_eq!(store2.epoch(obj2), 1);
         let mut out = page_of(0);
@@ -2599,7 +2566,7 @@ mod tests {
         // also keeps the durable commit 3 out: the recovered state is
         // exactly the epoch-1 prefix, never a torn hybrid.
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         assert_eq!(store2.epoch(obj2), 1, "torn commit and successors rejected");
         let mut out = page_of(0);
@@ -2635,7 +2602,7 @@ mod tests {
         disk.crash(t2.completes);
 
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         assert_eq!(store2.epoch(obj2), 1, "flipped commit rejected");
         let mut out = page_of(0);
@@ -2661,7 +2628,7 @@ mod tests {
         }
         disk.crash(last);
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         assert_eq!(store2.epoch(obj2), DELTA_SLOTS - 1);
         let mut out = page_of(0);
@@ -2714,7 +2681,7 @@ mod tests {
         // The pins survive recovery: reopen and read the epoch again.
         disk.settle();
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open(&mut vt2, &mut disk).unwrap();
         assert_eq!(store2.snapshot_lookup("keep").unwrap().epoch, snap_epoch);
         for (i, p) in originals.iter().enumerate() {
             store2
@@ -2773,9 +2740,9 @@ mod tests {
 
         // Tear the newest catalog slot (seq 1 → slot 1): mount must fall
         // back to the seq-0 catalog, i.e. exactly the first snapshot.
-        disk.corrupt_bit(crate::layout::SNAP_CATALOG_START + 1, 30, 2);
+        disk.corrupt_bit(layout().snap_slot(1), 30, 2);
         let mut vt2 = Vt::new(1);
-        let store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let store2 = open(&mut vt2, &mut disk).unwrap();
         let names: Vec<String> = store2.snapshots().iter().map(|s| s.name.clone()).collect();
         assert_eq!(names, vec!["s1".to_string()]);
     }
@@ -2845,7 +2812,7 @@ mod tests {
 
         // Replica: full-sync to "a", then the incremental delta to "b".
         let mut rdisk = Disk::new(DiskConfig::paper());
-        let mut replica = StoreShard::format(&mut rdisk);
+        let mut replica = format(&mut rdisk);
         let robj = replica.create(&mut vt, &mut rdisk, "db").unwrap();
         let mut buf = page_of(0);
         let ship = |store: &mut StoreShard,
@@ -2928,7 +2895,7 @@ mod tests {
         // The fence survives reopen.
         disk.settle();
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open(&mut vt2, &mut disk).unwrap();
         assert_eq!(store2.epoch(obj), 100);
         store2
             .read_page(&mut vt2, &mut disk, obj, 0, &mut out)
@@ -2996,7 +2963,7 @@ mod tests {
         // And the rebase is durable: reopen sees the same image.
         disk.settle();
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open(&mut vt2, &mut disk).unwrap();
         assert_eq!(store2.epoch(obj), target);
         for (pg, w) in want.iter().enumerate() {
             store2
@@ -3073,7 +3040,7 @@ mod tests {
         }
         disk.settle();
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open(&mut vt2, &mut disk).unwrap();
         for pg in 0..4u64 {
             let want = {
                 let mut w = page_of(0);
@@ -3138,7 +3105,7 @@ mod tests {
         let mut disk = Disk::new(DiskConfig::fast());
         let mut vt = Vt::new(0);
         assert_eq!(
-            StoreShard::open(&mut vt, &mut disk).unwrap_err(),
+            open(&mut vt, &mut disk).unwrap_err(),
             StoreError::NotFormatted
         );
     }
@@ -3158,7 +3125,7 @@ mod tests {
 
         // Reopen and write more; old pages must stay intact.
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         let extra = page_of(0xFF);
         for i in 60..120u64 {
@@ -3222,8 +3189,8 @@ mod tests {
     }
     #[test]
     fn persist_out_of_space_aborts_cleanly() {
-        let mut disk = Disk::new(DiskConfig::fast().with_capacity_blocks(FIRST_DATA_BLOCK + 40));
-        let mut store = StoreShard::format(&mut disk);
+        let mut disk = Disk::new(DiskConfig::fast().with_capacity_blocks(layout().data_floor + 40));
+        let mut store = format(&mut disk);
         let mut vt = Vt::new(0);
         let obj = store.create(&mut vt, &mut disk, "db").unwrap();
         let p = page_of(1);
@@ -3363,7 +3330,7 @@ mod tests {
         StoreShard::wait(&mut vt, t2);
         disk.settle();
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         assert_eq!(store2.epoch(obj2), 2);
         let mut out = page_of(0);
@@ -3464,7 +3431,7 @@ mod tests {
         disk.crash(last);
 
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open(&mut vt2, &mut disk).unwrap();
         let a2 = store2.lookup("a").unwrap();
         let b2 = store2.lookup("b").unwrap();
         assert_eq!(store2.epoch(a2), 5);
@@ -3509,7 +3476,7 @@ mod tests {
         disk.crash(t[1].completes);
 
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open(&mut vt2, &mut disk).unwrap();
         let a2 = store2.lookup("a").unwrap();
         let b2 = store2.lookup("b").unwrap();
         assert_eq!(store2.epoch(a2), 2, "a's share of the batch verified");
@@ -3599,7 +3566,7 @@ mod tests {
         // survive via its full root.
         disk.crash(last);
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open(&mut vt2, &mut disk).unwrap();
         let a2 = store2.lookup("a").unwrap();
         assert_eq!(store2.epoch(a2), 1, "a's epoch survives ring reuse");
         let mut out = page_of(0);
@@ -3637,7 +3604,7 @@ mod tests {
             }
             disk.crash(last);
             let mut vt2 = Vt::new(1);
-            let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+            let mut store2 = open(&mut vt2, &mut disk).unwrap();
             let a2 = store2.lookup("a").unwrap();
             let b2 = store2.lookup("b").unwrap();
             let mut image = Vec::new();

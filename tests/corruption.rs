@@ -8,7 +8,10 @@ use msnap_disk::{
     crash_at_every_io, Disk, DiskConfig, Fault, FaultPlan, ReadFaultPlan, BLOCK_SIZE,
 };
 use msnap_sim::Vt;
-use msnap_store::{ObjectStore, StoreError, DELTA_SLOTS};
+use msnap_store::{
+    digest32, fnv1a, pack_entry, unpack_entry, ObjectId, ObjectStore, RootRecord, StoreError,
+    DELTA_SLOTS,
+};
 
 fn page_of(b: u8) -> Vec<u8> {
     vec![b; BLOCK_SIZE]
@@ -55,6 +58,17 @@ fn intact_store_recovers_every_epoch() {
     let store = ObjectStore::open(&mut vt, &mut disk).unwrap();
     let obj = store.lookup("o").unwrap();
     assert_eq!(store.epoch(obj), n);
+
+    // The same device with the old single-shard superblock at block 0 is
+    // not a store.
+    const OLD_SUPER_MAGIC: u64 = 0x4d534e41_50535550;
+    let mut old = [0u8; BLOCK_SIZE];
+    old[0..8].copy_from_slice(&OLD_SUPER_MAGIC.to_le_bytes());
+    disk.write_block(&mut vt, 0, &old).unwrap();
+    assert!(matches!(
+        ObjectStore::open(&mut vt, &mut disk),
+        Err(StoreError::NotFormatted)
+    ));
 }
 
 #[test]
@@ -99,44 +113,73 @@ fn corrupted_middle_delta_truncates_the_chain() {
     );
 }
 
-#[test]
-fn corrupted_full_root_falls_back_to_previous_root() {
-    // Drive past two full-root commits, then corrupt the newest full
-    // root: recovery must fall back to the previous one (the alternating
-    // slots exist for exactly this).
-    let n = 2 * DELTA_SLOTS + 4;
-    let (mut disk, _) = build(n);
-
-    // Find the newest full root by scanning for the (v2) root magic with
-    // the highest epoch.
-    const ROOT_MAGIC: u64 = 0x4d534e_41505232;
-    let mut best: Option<(u64, u64)> = None; // (epoch, block)
+/// The block holding the object's newest full root record and the
+/// record itself (test-side introspection: the store holds one object).
+fn newest_root(disk: &Disk) -> (u64, RootRecord) {
+    let mut best: Option<(u64, RootRecord)> = None;
     for block in 0..4096u64 {
-        if let Some(data) = disk.peek(block) {
-            let magic = u64::from_le_bytes(data[0..8].try_into().unwrap());
-            let e = u64::from_le_bytes(data[16..24].try_into().unwrap());
-            if magic == ROOT_MAGIC && best.is_none_or(|(be, _)| e > be) {
-                best = Some((e, block));
-            }
+        let Some(rec) = disk
+            .peek(block)
+            .and_then(|data| RootRecord::from_block(data, ObjectId(0)))
+        else {
+            continue;
+        };
+        if best.is_none_or(|(_, b)| (rec.epoch, rec.flush_seq) > (b.epoch, b.flush_seq)) {
+            best = Some((block, rec));
         }
     }
-    let (root_epoch, root_block) = best.expect("a full root exists");
-    disk.corrupt_bit(root_block, 24, 1); // corrupt the tree-root pointer
+    best.expect("a full root exists")
+}
 
-    let mut vt = Vt::new(1);
-    let store = ObjectStore::open(&mut vt, &mut disk).unwrap();
-    let obj = store.lookup("o").unwrap();
-    let recovered = store.epoch(obj);
-    assert!(
-        recovered < root_epoch,
-        "recovery {recovered} must fall back below the corrupted root {root_epoch}"
-    );
-    // Deltas still present for the window after the *previous* root let
-    // recovery land close behind.
-    assert!(
-        recovered >= DELTA_SLOTS,
-        "the previous full root (epoch {DELTA_SLOTS}) must survive, got {recovered}"
-    );
+#[test]
+fn corrupted_full_root_falls_back_to_previous_root() {
+    // Drive past two full-root commits, then damage the newest full
+    // root: recovery must fall back to the previous one (the alternating
+    // slots exist for exactly this). The damage is either a flipped bit
+    // or the same record re-encoded in the old digest-less root format.
+    let n = 2 * DELTA_SLOTS + 4;
+    for old_format in [false, true] {
+        let (mut disk, mut vt) = build(n);
+        let (root_block, rec) = newest_root(&disk);
+        if old_format {
+            const OLD_ROOT_MAGIC: u64 = 0x4d534e_41505253;
+            let mut old = [0u8; BLOCK_SIZE];
+            for (i, v) in [
+                OLD_ROOT_MAGIC,
+                0, // ObjectId(0)
+                rec.epoch,
+                rec.tree_root,
+                rec.len_pages,
+                rec.high_water,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                old[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
+            }
+            let sum = fnv1a(&old[0..48]);
+            old[48..56].copy_from_slice(&sum.to_le_bytes());
+            disk.write_block(&mut vt, root_block, &old).unwrap();
+        } else {
+            disk.corrupt_bit(root_block, 24, 1); // corrupt the tree-root pointer
+        }
+
+        let mut vt = Vt::new(1);
+        let store = ObjectStore::open(&mut vt, &mut disk).unwrap();
+        let obj = store.lookup("o").unwrap();
+        let recovered = store.epoch(obj);
+        let root_epoch = rec.epoch;
+        assert!(
+            recovered < root_epoch,
+            "recovery {recovered} must fall back below the damaged root {root_epoch}"
+        );
+        // Deltas still present for the window after the *previous* root
+        // let recovery land close behind.
+        assert!(
+            recovered >= DELTA_SLOTS,
+            "the previous full root (epoch {DELTA_SLOTS}) must survive, got {recovered}"
+        );
+    }
 }
 
 #[test]
@@ -271,6 +314,51 @@ fn corruption_in_a_data_block_does_not_break_recovery() {
         .read_page(&mut vt, &mut disk, obj, 2, &mut buf)
         .unwrap();
     assert_eq!(buf[0], 2);
+
+    // Old bytes: a committed leaf entry whose digest half is zero, with
+    // the node chain above it re-digested so only the entry is old. The
+    // page reads back as CorruptData, never as unverified bytes.
+    let (mut disk, mut vt) = build(n);
+    let mut store = ObjectStore::open(&mut vt, &mut disk).unwrap();
+    let obj = store.lookup("o").unwrap();
+    store.snapshot_create(&mut vt, &mut disk, obj, "s").unwrap();
+    disk.settle();
+    let (root_slot, mut rec) = newest_root(&disk);
+    let entry_at =
+        |img: &[u8], i: usize| u64::from_le_bytes(img[i * 8..i * 8 + 8].try_into().unwrap());
+    let mut root = disk.peek(rec.tree_root).unwrap().to_vec();
+    let (mid_b, _) = unpack_entry(entry_at(&root, 0));
+    let mut mid = disk.peek(mid_b).unwrap().to_vec();
+    let (leaf_b, _) = unpack_entry(entry_at(&mid, 0));
+    let mut leaf = disk.peek(leaf_b).unwrap().to_vec();
+    let (data_b, _) = unpack_entry(entry_at(&leaf, 1)); // page 1
+    leaf[8..16].copy_from_slice(&pack_entry(data_b, 0).to_le_bytes());
+    mid[0..8].copy_from_slice(&pack_entry(leaf_b, digest32(&leaf)).to_le_bytes());
+    root[0..8].copy_from_slice(&pack_entry(mid_b, digest32(&mid)).to_le_bytes());
+    rec.root_digest = digest32(&root);
+    for (block, img) in [
+        (leaf_b, &leaf[..]),
+        (mid_b, &mid[..]),
+        (rec.tree_root, &root[..]),
+        (root_slot, &rec.to_block()[..]),
+    ] {
+        disk.write_block(&mut vt, block, img).unwrap();
+    }
+    let mut vt = Vt::new(2);
+    let mut store = ObjectStore::open(&mut vt, &mut disk).unwrap();
+    let obj = store.lookup("o").unwrap();
+    assert_eq!(store.epoch(obj), n);
+    let err = store
+        .read_page(&mut vt, &mut disk, obj, 1, &mut buf)
+        .unwrap_err();
+    assert!(
+        matches!(err, StoreError::CorruptData { page: 1, .. }),
+        "a digest-less entry surfaces as CorruptData, got {err:?}"
+    );
+    store
+        .read_page(&mut vt, &mut disk, obj, 2, &mut buf)
+        .unwrap();
+    assert_eq!(buf[0], 2, "its neighbours still verify");
 }
 
 #[test]
@@ -640,107 +728,4 @@ fn seeded_rot_sweep_is_fully_detected_and_healed() {
             .unwrap();
         assert_eq!(&buf, want, "page {page} clean after reopen");
     }
-}
-
-#[test]
-fn v1_layout_store_opens_and_scrub_backfills_digests() {
-    // Forward compatibility: a hand-built pre-digest (v1) store — node
-    // images with zero digest halves, a v1 root record — must open and
-    // serve reads without verification, scrub must backfill real
-    // digests, and after the next full flush the store verifies end to
-    // end like a native v2 store.
-    let mut disk = Disk::new(DiskConfig::paper());
-    let mut store = ObjectStore::format(&mut disk);
-    let mut vt = Vt::new(0);
-    store.create(&mut vt, &mut disk, "o").unwrap();
-    drop(store);
-
-    // The object's meta_base, from the on-disk directory (first entry:
-    // present flag at 0, meta_base at bytes 9..17).
-    let dir = disk.peek(1).expect("directory block exists");
-    assert_eq!(dir[0], 1, "first directory entry present");
-    let meta_base = u64::from_le_bytes(dir[9..17].try_into().unwrap());
-
-    // One data block plus a three-level node path, all with v1 entry
-    // words: bare block numbers, no digest halves.
-    let base = meta_base + 64;
-    let (data_b, leaf_b, mid_b, root_b) = (base, base + 1, base + 2, base + 3);
-    let content = page_of(0xCD);
-    let mut leaf = [0u8; BLOCK_SIZE];
-    leaf[0..8].copy_from_slice(&data_b.to_le_bytes());
-    let mut mid = [0u8; BLOCK_SIZE];
-    mid[0..8].copy_from_slice(&leaf_b.to_le_bytes());
-    let mut root = [0u8; BLOCK_SIZE];
-    root[0..8].copy_from_slice(&mid_b.to_le_bytes());
-
-    // A v1 root record: epoch 1, checksum over bytes 0..48 stored at 48.
-    const V1_ROOT_MAGIC: u64 = 0x4d534e_41505253;
-    let mut rec = [0u8; BLOCK_SIZE];
-    let w = |buf: &mut [u8; BLOCK_SIZE], off: usize, v: u64| {
-        buf[off..off + 8].copy_from_slice(&v.to_le_bytes())
-    };
-    w(&mut rec, 0, V1_ROOT_MAGIC);
-    w(&mut rec, 8, 0); // ObjectId(0)
-    w(&mut rec, 16, 1); // epoch
-    w(&mut rec, 24, root_b);
-    w(&mut rec, 32, 1); // len_pages
-    w(&mut rec, 40, root_b + 1); // high_water
-    let sum = msnap_store::fnv1a(&rec[0..48]);
-    rec[48..56].copy_from_slice(&sum.to_le_bytes());
-
-    for (block, img) in [
-        (data_b, &content[..]),
-        (leaf_b, &leaf[..]),
-        (mid_b, &mid[..]),
-        (root_b, &root[..]),
-        (meta_base + 1, &rec[..]), // root slot for epoch 1
-    ] {
-        disk.write_block(&mut vt, block, img).unwrap();
-    }
-    disk.settle();
-
-    let mut vt = Vt::new(1);
-    let mut store = ObjectStore::open(&mut vt, &mut disk).unwrap();
-    let obj = store.lookup("o").unwrap();
-    assert_eq!(store.epoch(obj), 1);
-
-    // Scrub the whole store: pre-digest entries are backfilled, nothing
-    // is flagged.
-    let mut guard = 0;
-    while store.scrub_stats().passes == 0 {
-        store.scrub(&mut vt, &mut disk, 64).unwrap();
-        guard += 1;
-        assert!(guard < 1000);
-    }
-    let stats = store.scrub_stats();
-    assert!(stats.digests_backfilled > 0, "v1 entries were backfilled");
-    assert_eq!(stats.corruptions_found, 0);
-
-    let mut buf = page_of(0);
-    store
-        .read_page(&mut vt, &mut disk, obj, 0, &mut buf)
-        .unwrap();
-    assert_eq!(buf, content, "v1 data reads back unverified but intact");
-
-    // A full flush persists the backfilled digests (v2 root)...
-    store.snapshot_create(&mut vt, &mut disk, obj, "s").unwrap();
-    disk.settle();
-    let mut vt = Vt::new(2);
-    let mut store = ObjectStore::open(&mut vt, &mut disk).unwrap();
-    let obj = store.lookup("o").unwrap();
-    store
-        .read_page(&mut vt, &mut disk, obj, 0, &mut buf)
-        .unwrap();
-    assert_eq!(buf, content);
-
-    // ...so rot is now caught like in a native v2 store.
-    disk.corrupt_bit(live_block_of(&disk, &content), 7, 1);
-    store.drop_cache();
-    let err = store
-        .read_page(&mut vt, &mut disk, obj, 0, &mut buf)
-        .unwrap_err();
-    assert!(
-        matches!(err, StoreError::CorruptData { page: 0, .. }),
-        "the upgraded store verifies reads, got {err:?}"
-    );
 }

@@ -4,10 +4,16 @@ use proptest::prelude::*;
 
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
 use msnap_sim::{LatencyStats, Nanos, Vt, VthreadId};
-use msnap_store::{ObjectStore, RadixTree};
+use msnap_store::{digest32, ObjectStore, RadixTree};
 use msnap_vm::{TrackMode, Vm, PAGE_SIZE};
 
 // ---- Radix tree ≅ BTreeMap --------------------------------------------
+
+/// Points `page` at `block`, with the block number's digest standing in
+/// for the page contents.
+fn set(tree: &mut RadixTree, page: u64, block: u64) -> Option<u64> {
+    tree.set_entry(page, block, digest32(&block.to_le_bytes()))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -21,7 +27,7 @@ proptest! {
         let mut next_block = 1u64;
         let mut writes = Vec::new();
         for (i, (page, block)) in ops.iter().enumerate() {
-            let old = tree.set(*page, *block);
+            let old = set(&mut tree, *page, *block);
             let model_old = model.insert(*page, *block);
             prop_assert_eq!(old, model_old);
             if i % 17 == 0 {
@@ -40,15 +46,17 @@ proptest! {
     fn radix_commit_reload_identity(pages in prop::collection::btree_set(0u64..50_000, 1..100)) {
         let mut tree = RadixTree::new();
         for (i, page) in pages.iter().enumerate() {
-            tree.set(*page, 1_000 + i as u64);
+            set(&mut tree, *page, 1_000 + i as u64);
         }
         let mut next = 1u64;
         let mut writes = Vec::new();
         let root = tree.commit(&mut || { next += 1; next }, &mut writes);
         let blocks: std::collections::HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
-        let loaded = RadixTree::load(root, tree.len_pages(), &mut |b, out| {
+        let mut loaded = RadixTree::from_committed(root, tree.committed_root_digest(), tree.len_pages());
+        loaded.hydrate_all(&mut |b, out| {
             out.copy_from_slice(&blocks[&b]);
-        });
+            Ok(())
+        }).unwrap();
         prop_assert_eq!(loaded.pages(), tree.pages());
     }
 
@@ -63,7 +71,7 @@ proptest! {
     ) {
         let mut tree = RadixTree::new();
         for (page, block) in &base {
-            tree.set(*page, *block);
+            set(&mut tree, *page, *block);
         }
         let mut next = 1u64;
         let mut writes = Vec::new();
@@ -74,10 +82,10 @@ proptest! {
         let mut deep_l = shared_l.deep_clone();
         let mut deep_r = shared_r.deep_clone();
         for (page, block) in &left {
-            prop_assert_eq!(shared_l.set(*page, *block), deep_l.set(*page, *block));
+            prop_assert_eq!(set(&mut shared_l, *page, *block), set(&mut deep_l, *page, *block));
         }
         for (page, block) in &right {
-            prop_assert_eq!(shared_r.set(*page, *block), deep_r.set(*page, *block));
+            prop_assert_eq!(set(&mut shared_r, *page, *block), set(&mut deep_r, *page, *block));
         }
         // Neither side's mutations leaked into the other (the deep
         // copies never shared structure, so they are the oracle).
@@ -97,21 +105,22 @@ proptest! {
         let mut next = 10_000u64;
         let mut tree_a = RadixTree::new();
         for (page, block) in &base {
-            tree_a.set(*page, *block);
+            set(&mut tree_a, *page, *block);
         }
         let mut writes = Vec::new();
         let root_a = tree_a.commit(&mut || { next += 1; next }, &mut writes);
+        let digest_a = tree_a.committed_root_digest();
         let mut tree_b = tree_a.clone();
         for (page, block) in &delta {
-            tree_b.set(*page, *block);
+            set(&mut tree_b, *page, *block);
         }
         let root_b = tree_b.commit(&mut || { next += 1; next }, &mut writes);
         let blocks: std::collections::HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
 
         let eager = RadixTree::diff_pages(&tree_a, &tree_b);
 
-        let mut lazy_a = RadixTree::from_committed(root_a, tree_a.len_pages());
-        let mut lazy_b = RadixTree::from_committed(root_b, tree_b.len_pages());
+        let mut lazy_a = RadixTree::from_committed(root_a, digest_a, tree_a.len_pages());
+        let mut lazy_b = RadixTree::from_committed(root_b, tree_b.committed_root_digest(), tree_b.len_pages());
         let mut read = |b: u64, out: &mut [u8; BLOCK_SIZE]| {
             out.copy_from_slice(&blocks[&b][..]);
             Ok(())
