@@ -36,7 +36,6 @@ struct LossPoint {
     goodput_bytes: u64,
     retransmit_frames: u64,
     subpage_frames: u64,
-    saved_dedup: u64,
     saved_compress: u64,
     wall: Nanos,
 }
@@ -118,7 +117,6 @@ fn loss_point(loss: f64, small: bool) -> LossPoint {
         goodput_bytes: down.bytes_delivered,
         retransmit_frames: m.retransmit_frames,
         subpage_frames: m.subpage_frames,
-        saved_dedup: m.wire_bytes_saved_dedup,
         saved_compress: m.wire_bytes_saved_compress,
         wall: vt.now() - start,
     }
@@ -150,7 +148,7 @@ fn loss_table(points: &[LossPoint]) {
                     format!("{:.1}", p.goodput_bytes as f64 / 1024.0),
                     format!("{}", p.retransmit_frames),
                     format!("{}", p.subpage_frames),
-                    format!("{:.1}", (p.saved_dedup + p.saved_compress) as f64 / 1024.0),
+                    format!("{:.1}", p.saved_compress as f64 / 1024.0),
                     format!("{:.1}", p.wall.as_ns() as f64 / 1e6),
                 ]
             })
@@ -166,7 +164,7 @@ fn loss_json(points: &[LossPoint]) -> String {
                 "{{\"loss\":{:.2},\"mean_lag_epochs\":{:.3},\"max_lag_epochs\":{},\
                  \"ack_lag_us\":{:.3},\"wire_bytes\":{},\"goodput_bytes\":{},\
                  \"retransmit_frames\":{},\"subpage_frames\":{},\
-                 \"saved_dedup\":{},\"saved_compress\":{},\"wall_ms\":{:.3}}}",
+                 \"saved_compress\":{},\"wall_ms\":{:.3}}}",
                 p.loss,
                 p.mean_lag_epochs,
                 p.max_lag_epochs,
@@ -175,7 +173,6 @@ fn loss_json(points: &[LossPoint]) -> String {
                 p.goodput_bytes,
                 p.retransmit_frames,
                 p.subpage_frames,
-                p.saved_dedup,
                 p.saved_compress,
                 p.wall.as_ns() as f64 / 1e6,
             )

@@ -329,7 +329,6 @@ fn sweep_small_writes() -> Vec<SmallWritePoint> {
             Some(&base),
             &name,
             None,
-            None,
         )
         .unwrap()
         .encoded_len() as u64;

@@ -18,11 +18,12 @@
 //! - scrub throughput vs per-call IO budget: one full verification pass
 //!   over a 4096-page object, sliced finer or coarser.
 //!
-//! Emits the machine-readable `BENCH_store.json` at the workspace root.
+//! Splices its members into the machine-readable `BENCH_store.json` at
+//! the workspace root; other targets' sections there are left alone.
 
 use std::time::Instant;
 
-use msnap_bench::{header, table, us};
+use msnap_bench::{header, splice_json_section, table, us};
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
 use msnap_sim::Vt;
 use msnap_store::{digest32, ObjectStore, RadixTree, DEFAULT_CACHE_BLOCKS};
@@ -537,27 +538,23 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",\n    ");
-    let json = format!(
-        "{{\n  \"bench\": \"store\",\n  \"cache_blocks\": {DEFAULT_CACHE_BLOCKS},\n  \
-         \"open\": [\n    {open_json}\n  ],\n  \
-         \"snapshot_create\": [\n    {snap_json}\n  ],\n  \
-         \"reads\": [\n    {reads_json}\n  ],\n  \
-         \"digest_gb_per_s\": {digest_gb_per_s:.2},\n  \
-         \"read_verify\": [\n    {verify_json}\n  ],\n  \
-         \"scrub\": [\n    {scrub_json}\n  ]\n}}\n"
-    );
+    let members = [
+        ("bench", "\"store\"".to_string()),
+        ("cache_blocks", DEFAULT_CACHE_BLOCKS.to_string()),
+        ("open", format!("[\n    {open_json}\n  ]")),
+        ("snapshot_create", format!("[\n    {snap_json}\n  ]")),
+        ("reads", format!("[\n    {reads_json}\n  ]")),
+        ("digest_gb_per_s", format!("{digest_gb_per_s:.2}")),
+        ("read_verify", format!("[\n    {verify_json}\n  ]")),
+        ("scrub", format!("[\n    {scrub_json}\n  ]")),
+    ];
+    // Splice member by member: the `shard_scaling` and `pindex` sections
+    // belong to their own bench targets and stay as they are.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
-    // Carry over the `shard_scaling` section (owned by the
-    // shard_scaling bench target) across this full rewrite.
-    let json = match std::fs::read_to_string(path).ok().and_then(|old| {
-        msnap_bench::json_section_span(&old, "shard_scaling").map(|(s, e)| old[s..e].to_string())
-    }) {
-        Some(section) => {
-            let value = section.split_once(':').unwrap().1.trim().to_string();
-            msnap_bench::splice_json_section(&json, "shard_scaling", &value)
-        }
-        None => json,
-    };
+    let doc = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".into());
+    let json = members.iter().fold(doc, |doc, (key, value)| {
+        splice_json_section(&doc, key, value)
+    });
     std::fs::write(path, &json).expect("workspace root is writable");
     println!();
     println!(

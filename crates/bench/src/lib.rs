@@ -129,33 +129,18 @@ pub fn json_section_span(doc: &str, key: &str) -> Option<(usize, usize)> {
 }
 
 /// Replaces (or inserts) the top-level `"key": <value>` member of a JSON
-/// object document, leaving every other member byte-identical. `value`
-/// is the raw JSON for the member's value.
+/// object document, leaving every other member byte-identical. A present
+/// key keeps its position; a new key is appended as the last member.
+/// `value` is the raw JSON for the member's value.
 pub fn splice_json_section(doc: &str, key: &str, value: &str) -> String {
-    let mut cleaned = doc.to_string();
-    if let Some((start, end)) = json_section_span(&cleaned, key) {
-        // Swallow the separating comma (preceding if present, else
-        // trailing) along with the member itself.
-        let before = cleaned[..start].trim_end();
-        if before.ends_with(',') {
-            let cut = before.len() - 1;
-            cleaned.replace_range(cut..end, "");
-        } else {
-            let mut tail = end;
-            let bytes = cleaned.as_bytes();
-            while tail < bytes.len() && bytes[tail].is_ascii_whitespace() {
-                tail += 1;
-            }
-            if tail < bytes.len() && bytes[tail] == b',' {
-                tail += 1;
-            }
-            cleaned.replace_range(start..tail, "");
-        }
+    let member = format!("\"{key}\": {value}");
+    if let Some((start, end)) = json_section_span(doc, key) {
+        return format!("{}{member}{}", &doc[..start], &doc[end..]);
     }
-    let close = cleaned.rfind('}').expect("document is a JSON object");
-    let head = cleaned[..close].trim_end();
+    let close = doc.rfind('}').expect("document is a JSON object");
+    let head = doc[..close].trim_end();
     let comma = if head.ends_with('{') { "" } else { "," };
-    format!("{head}{comma}\n  \"{key}\": {value}\n}}\n")
+    format!("{head}{comma}\n  {member}\n}}\n")
 }
 
 #[cfg(test)]
@@ -189,6 +174,24 @@ mod tests {
         let reopen = splice_json_section(&replaced, "open", "[]");
         assert!(reopen.contains("\"shards\": 4"));
         assert!(reopen.contains("\"open\": []"));
+    }
+
+    #[test]
+    fn splicing_a_present_key_keeps_every_member_in_place() {
+        let doc = "{\n  \"bench\": \"store\",\n  \"open\": [\n    {\"a\": 1}\n  ],\n  \
+                   \"mid\": 7,\n  \"tail\": {\"b\": [2]}\n}\n";
+        let out = splice_json_section(doc, "open", "[\n    {\"a\": 2}\n  ]");
+        let (s, e) = json_section_span(doc, "open").unwrap();
+        let (s2, e2) = json_section_span(&out, "open").unwrap();
+        assert_eq!(s2, s, "the member stays where it was");
+        assert_eq!(&out[s2..e2], "\"open\": [\n    {\"a\": 2}\n  ]");
+        assert_eq!(&out[..s2], &doc[..s], "members before are byte-identical");
+        assert_eq!(&out[e2..], &doc[e..], "members after are byte-identical");
+        // Re-splicing the original value restores the document exactly.
+        assert_eq!(
+            splice_json_section(&out, "open", "[\n    {\"a\": 1}\n  ]"),
+            doc
+        );
     }
 
     #[test]

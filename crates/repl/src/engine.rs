@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use memsnap::{MemSnap, MsnapError};
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
 use msnap_sim::{Meters, Nanos, NetConfig, SimLink, Vt};
-use msnap_snap::{ApplySession, DedupTable, DeltaStream, SnapError};
+use msnap_snap::{ApplySession, DeltaStream, SnapError};
 use msnap_store::{
     digest32, fnv1a, Epoch, ObjectStore, ScrubStats, SnapEntry, StoreError, VectorCut,
 };
@@ -169,8 +169,9 @@ pub struct LinkMetrics {
     /// Sub-page frames shipped down this link (frames that carried only
     /// the changed 64-byte lines of their page).
     pub subpage_frames: u64,
-    /// Wire bytes saved by content-hash dedup references (full-page
-    /// frame size minus reference size, per reference shipped).
+    /// Always 0: streams carry no content-hash dedup references, so
+    /// nothing writes this field. It stays only so existing metric
+    /// readers keep compiling.
     pub wire_bytes_saved_dedup: u64,
     /// Wire bytes saved by per-frame payload compression (raw minus
     /// compressed, per compressed frame shipped).
@@ -244,11 +245,6 @@ pub struct ReplicaNode {
     /// The newest announced cut every component of which this replica
     /// has reached — the only states failover may promote it at.
     cut: Option<VectorCut>,
-    /// Receiver halves of the per-object content-hash dedup tables:
-    /// reference frames resolve against them, and every payload page of
-    /// an applied stream is inserted, mirroring the sender's
-    /// stage-then-commit. Cleared whenever a `Hello` goes up the link.
-    dedup: BTreeMap<String, DedupTable>,
     bootstrapped: bool,
 }
 
@@ -289,7 +285,6 @@ impl ReplicaNode {
             repair_sent: BTreeMap::new(),
             announced: BTreeMap::new(),
             cut: None,
-            dedup: BTreeMap::new(),
             bootstrapped,
         }
     }
@@ -463,11 +458,7 @@ impl ReplicaNode {
         objects
     }
 
-    fn hello(&mut self) -> Msg {
-        // A Hello resets the link session; the sender clears its dedup
-        // tables when it hears it, so drop the receiver halves too —
-        // both sides restart from empty and stay in lockstep.
-        self.dedup.clear();
+    fn hello(&self) -> Msg {
         Msg::Hello {
             objects: self.status(),
         }
@@ -587,14 +578,7 @@ impl ReplicaNode {
                     self.sessions.insert(ship, (object, session));
                     return vec![Msg::Nak { ship, next_seq }];
                 }
-                let table = self.dedup.entry(object.clone()).or_default();
-                match session.finish_with(
-                    &mut self.vt,
-                    &mut self.disk,
-                    &mut self.store,
-                    &trailer,
-                    Some(table),
-                ) {
+                match session.finish(&mut self.vt, &mut self.disk, &mut self.store, &trailer) {
                     Ok(token) => {
                         ObjectStore::wait(&mut self.vt, token);
                         self.bootstrapped = true;
@@ -723,13 +707,6 @@ struct ObjShip {
     /// primary's own history; diff only from an epoch both sides
     /// retain, or ship the full image. Cleared by the first ack.
     divergent: bool,
-    /// Sender half of the content-hash dedup table for this (link,
-    /// object) pair: payload pages are staged at build time and
-    /// committed when the ship is acknowledged, mirroring the
-    /// receiver's insert-on-apply — both sides hold the same images at
-    /// every acknowledged point. Reset on `Hello` (the receiver resets
-    /// with it).
-    dedup: DedupTable,
 }
 
 /// One attached replica: both link directions, the node itself, and the
@@ -836,7 +813,7 @@ impl ReplEngine {
         &mut self,
         name: &str,
         net: NetConfig,
-        mut node: ReplicaNode,
+        node: ReplicaNode,
     ) -> Result<(), ReplError> {
         if self.links.iter().any(|l| l.name == name) {
             return Err(ReplError::DuplicateReplica);
@@ -1011,7 +988,6 @@ impl ReplEngine {
                             os.inflight = None;
                             os.base = None;
                             os.divergent = true;
-                            os.dedup.clear();
                         }
                     }
                     Msg::Ack {
@@ -1033,10 +1009,6 @@ impl ReplEngine {
                                 );
                                 os.base = Some((ship.target_snap, ship.target_epoch));
                                 os.divergent = false;
-                                // The receiver applied the ship, so it
-                                // inserted the same payload images —
-                                // the staged entries are now shared.
-                                os.dedup.commit();
                                 link.metrics.acks += 1;
                                 report.acks += 1;
                             }
@@ -1275,7 +1247,6 @@ impl ReplEngine {
                         base.as_deref(),
                         &target_snap,
                         hints.as_ref(),
-                        Some(&mut os.dedup),
                     )?
                 };
                 let stats_after = ms.store().stats();
@@ -1289,7 +1260,6 @@ impl ReplEngine {
                 }
                 let savings = stream.wire_savings();
                 link.metrics.subpage_frames += savings.subpage_frames;
-                link.metrics.wire_bytes_saved_dedup += savings.dedup_saved;
                 link.metrics.wire_bytes_saved_compress += savings.compress_saved;
                 let id = self.next_ship;
                 self.next_ship += 1;

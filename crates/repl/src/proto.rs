@@ -76,9 +76,9 @@ pub enum Msg {
         /// The stream's self-describing head.
         header: StreamHeader,
     },
-    /// Primary → replica: one frame of the stream — a full page, a
-    /// sub-page run delta, or a dedup reference (the wire forms are
-    /// magic-dispatched, so v1 full-page datagrams decode unchanged).
+    /// Primary → replica: one frame of the stream — a full page or a
+    /// sub-page run delta (the wire forms are magic-dispatched, so v1
+    /// full-page datagrams decode unchanged).
     Frame {
         /// Ship the frame belongs to.
         ship: u64,

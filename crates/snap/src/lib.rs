@@ -28,8 +28,8 @@
 //! Version-2 streams ([`DeltaStream::build_v2`]) make the wire bytes
 //! proportional to the bytes that changed: [`SubPageFrame`]s carry only
 //! the changed 64-byte lines of a page (compressed per frame, with an
-//! incompressible bypass), and a per-link [`DedupTable`] lets pages
-//! whose content was already shipped travel as ~40-byte [`RefFrame`]s.
+//! incompressible bypass); each diffed page travels as exactly one
+//! partial sub-page frame, whole-page sub-page frame, or full frame.
 //! Version-1 streams remain fully decodable — [`DeltaStream::build`]
 //! still emits them byte-identically to prior releases.
 //!
@@ -59,7 +59,7 @@
 
 mod compress;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -77,8 +77,6 @@ const STREAM_MAGIC_V2: u64 = 0x4d534e_41504532; // "MSN APE2"
 const FRAME_MAGIC: u64 = 0x4d534e_41504446; // "MSN APDF"
 /// Magic number opening each sub-page frame.
 const SUB_FRAME_MAGIC: u64 = 0x4d534e_41505346; // "MSN APSF"
-/// Magic number opening each dedup-reference frame.
-const REF_FRAME_MAGIC: u64 = 0x4d534e_41505246; // "MSN APRF"
 /// Magic number opening the stream trailer.
 const TRAILER_MAGIC: u64 = 0x4d534e_41504454 ^ 0xFF; // distinct from records
 
@@ -89,10 +87,9 @@ const HEADER_FIXED: usize = 80;
 const MAX_CUT_EPOCHS: u64 = msnap_store::MAX_SHARDS as u64;
 /// Encoded size of one full-page frame.
 const FRAME_LEN: usize = 32 + BLOCK_SIZE;
-/// Encoded size of a sub-page frame before its runs and payload.
+/// Encoded size of a sub-page frame before its runs and payload (an
+/// empty-run frame — the smallest frame on the wire).
 const SUB_FIXED: usize = 52;
-/// Encoded size of a dedup-reference frame.
-const REF_FRAME_LEN: usize = 40;
 /// Encoded trailer size.
 const TRAILER_LEN: usize = 32;
 /// Sub-page diff granularity: one cache line.
@@ -105,9 +102,6 @@ const SUBPAGE_CUTOFF: u32 = (LINES_PER_PAGE / 2) as u32;
 /// Ceiling on sub-page runs per frame (a 64-line bitmap can produce at
 /// most 32 alternating runs; anything claiming more is malformed).
 const MAX_SUB_RUNS: usize = LINES_PER_PAGE;
-/// Default dedup-table capacity: recently-shipped page images retained
-/// per stream direction (~1 MiB at 4 KiB pages).
-const DEDUP_CAP: usize = 256;
 
 /// Errors raised while building, decoding, or applying a delta stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,11 +136,10 @@ pub enum SnapError {
     },
     /// The trailer is missing frames or its stream checksum mismatches.
     TrailerMismatch,
-    /// A sub-page or reference frame could not be resolved against the
-    /// replica's base content: the patched page missed its digest, a
-    /// dedup reference named a digest the receiver does not hold, or the
-    /// pre-image read failed. The replica's base diverges from what the
-    /// sender diffed against — the caller falls back to a full resync.
+    /// A sub-page frame could not be resolved against the replica's base
+    /// content: the patched page missed its digest, or the pre-image read
+    /// failed. The replica's base diverges from what the sender diffed
+    /// against — the caller falls back to a full resync.
     BaseContentMismatch {
         /// Page index that failed to resolve.
         page: u64,
@@ -216,8 +209,8 @@ pub struct StreamHeader {
     pub cut: Option<VectorCut>,
     /// Stream format version, carried as the header magic: `1` streams
     /// hold only full-page frames (what every prior build emits and any
-    /// prior decoder accepts); `2` streams may also carry sub-page and
-    /// dedup-reference frames. Decoders here accept both.
+    /// prior decoder accepts); `2` streams may also carry sub-page
+    /// frames. Decoders here accept both.
     pub version: u16,
 }
 
@@ -614,87 +607,9 @@ impl SubPageFrame {
     }
 }
 
-/// A dedup reference: "this page's content is the image whose digest
-/// you already hold" — ~40 wire bytes in place of a 4 KiB payload.
-/// Emitted only for digests the *sender's* table holds with
-/// byte-identical content (see [`DedupTable::matches`]); sender and
-/// receiver tables advance in lockstep (stage at build, commit on ack),
-/// so the receiver resolves the digest to the same bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RefFrame {
-    /// 0-based position in the stream.
-    pub seq: u64,
-    /// Page index within the object.
-    pub page: u64,
-    /// Digest of the page content in the receiver's dedup table.
-    pub digest: u64,
-    /// FNV-1a over `seq || page || digest`.
-    pub checksum: u64,
-}
-
-impl RefFrame {
-    fn compute_checksum(seq: u64, page: u64, digest: u64) -> u64 {
-        let mut sum = fnv1a(&seq.to_le_bytes());
-        sum = fnv1a_extend(sum, &page.to_le_bytes());
-        fnv1a_extend(sum, &digest.to_le_bytes())
-    }
-
-    fn new(seq: u64, page: u64, digest: u64) -> Self {
-        RefFrame {
-            seq,
-            page,
-            digest,
-            checksum: Self::compute_checksum(seq, page, digest),
-        }
-    }
-
-    /// Whether the frame's checksum covers its content.
-    pub fn verify(&self) -> bool {
-        self.checksum == Self::compute_checksum(self.seq, self.page, self.digest)
-    }
-
-    /// Wire size of one reference frame.
-    pub const fn encoded_len() -> usize {
-        REF_FRAME_LEN
-    }
-
-    /// Serializes the frame.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut fh = [0u8; REF_FRAME_LEN];
-        write_u64(&mut fh, 0, REF_FRAME_MAGIC);
-        write_u64(&mut fh, 8, self.seq);
-        write_u64(&mut fh, 16, self.page);
-        write_u64(&mut fh, 24, self.digest);
-        write_u64(&mut fh, 32, self.checksum);
-        fh.to_vec()
-    }
-
-    /// Parses a frame from the front of `bytes`, returning it and the
-    /// bytes consumed.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Malformed`] for truncation or a bad magic.
-    pub fn decode(bytes: &[u8]) -> Result<(RefFrame, usize), SnapError> {
-        if read_u64(bytes, 0)? != REF_FRAME_MAGIC {
-            return Err(SnapError::Malformed);
-        }
-        if bytes.len() < REF_FRAME_LEN {
-            return Err(SnapError::Malformed);
-        }
-        let frame = RefFrame {
-            seq: read_u64(bytes, 8)?,
-            page: read_u64(bytes, 16)?,
-            digest: read_u64(bytes, 24)?,
-            checksum: read_u64(bytes, 32)?,
-        };
-        Ok((frame, REF_FRAME_LEN))
-    }
-}
-
 /// One stream frame: a full page image (the only kind version-1 streams
-/// carry), a sub-page run delta, or a dedup reference. The wire forms
-/// are distinguished by magic, so a mixed stream decodes frame by frame
+/// carry) or a sub-page run delta. The wire forms are distinguished by
+/// magic, so a mixed stream decodes frame by frame
 /// and a v1 byte stream decodes as all-`Full`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
@@ -702,8 +617,6 @@ pub enum Frame {
     Full(PageFrame),
     /// A sub-page byte-range delta.
     Sub(SubPageFrame),
-    /// A content-hash reference to an already-shipped page image.
-    Ref(RefFrame),
 }
 
 impl Frame {
@@ -712,7 +625,6 @@ impl Frame {
         match self {
             Frame::Full(f) => f.seq,
             Frame::Sub(f) => f.seq,
-            Frame::Ref(f) => f.seq,
         }
     }
 
@@ -721,7 +633,6 @@ impl Frame {
         match self {
             Frame::Full(f) => f.page,
             Frame::Sub(f) => f.page,
-            Frame::Ref(f) => f.page,
         }
     }
 
@@ -730,7 +641,6 @@ impl Frame {
         match self {
             Frame::Full(f) => f.checksum,
             Frame::Sub(f) => f.checksum,
-            Frame::Ref(f) => f.checksum,
         }
     }
 
@@ -739,7 +649,6 @@ impl Frame {
         match self {
             Frame::Full(f) => f.verify(),
             Frame::Sub(f) => f.verify(),
-            Frame::Ref(f) => f.verify(),
         }
     }
 
@@ -748,7 +657,6 @@ impl Frame {
         match self {
             Frame::Full(_) => FRAME_LEN,
             Frame::Sub(f) => f.encoded_len(),
-            Frame::Ref(_) => REF_FRAME_LEN,
         }
     }
 
@@ -757,7 +665,6 @@ impl Frame {
         match self {
             Frame::Full(f) => f.encode(),
             Frame::Sub(f) => f.encode(),
-            Frame::Ref(f) => f.encode(),
         }
     }
 
@@ -771,127 +678,8 @@ impl Frame {
         match read_u64(bytes, 0)? {
             FRAME_MAGIC => PageFrame::decode(bytes).map(|(f, n)| (Frame::Full(f), n)),
             SUB_FRAME_MAGIC => SubPageFrame::decode(bytes).map(|(f, n)| (Frame::Sub(f), n)),
-            REF_FRAME_MAGIC => RefFrame::decode(bytes).map(|(f, n)| (Frame::Ref(f), n)),
             _ => Err(SnapError::Malformed),
         }
-    }
-}
-
-/// A bounded FIFO table of recently-shipped page images keyed by
-/// content digest, kept in lockstep on both ends of a replication link
-/// so repeated content ships as [`RefFrame`]s.
-///
-/// Protocol discipline (what keeps a reference always resolvable to the
-/// *right* bytes):
-///
-/// - The sender consults only **committed** entries when emitting a
-///   reference, and byte-verifies the stored image against the page it
-///   is about to ship ([`DedupTable::matches`]) — a digest collision
-///   ships as payload, never as a stale reference.
-/// - Pages shipped as payload are **staged** at build time and
-///   committed only when the receiver acknowledges the stream; the
-///   receiver inserts the same images, in the same order, when it
-///   commits the stream. Both tables therefore hold identical
-///   digest→bytes maps at every acknowledged point.
-/// - A session reset (hello / full resync) clears both sides.
-#[derive(Debug, Clone)]
-pub struct DedupTable {
-    cap: usize,
-    hasher: fn(&[u8]) -> u64,
-    /// Committed digest→image entries, oldest first.
-    entries: VecDeque<(u64, Vec<u8>)>,
-    /// Images shipped as payload in not-yet-acknowledged streams.
-    pending: Vec<(u64, Vec<u8>)>,
-}
-
-impl Default for DedupTable {
-    fn default() -> Self {
-        DedupTable::new(DEDUP_CAP)
-    }
-}
-
-impl DedupTable {
-    /// A table retaining up to `cap` page images, digested with FNV-1a.
-    pub fn new(cap: usize) -> Self {
-        DedupTable::with_hasher(cap, fnv1a)
-    }
-
-    /// A table with a caller-chosen digest function — test hook for
-    /// forcing collisions; production uses [`DedupTable::new`].
-    pub fn with_hasher(cap: usize, hasher: fn(&[u8]) -> u64) -> Self {
-        DedupTable {
-            cap: cap.max(1),
-            hasher,
-            entries: VecDeque::new(),
-            pending: Vec::new(),
-        }
-    }
-
-    /// Digest of `bytes` under this table's hash function.
-    pub fn digest(&self, bytes: &[u8]) -> u64 {
-        (self.hasher)(bytes)
-    }
-
-    /// Whether a committed entry holds `digest` with content
-    /// byte-identical to `bytes` — the only condition under which a
-    /// sender may emit a reference. A colliding digest over different
-    /// bytes returns `false`.
-    pub fn matches(&self, digest: u64, bytes: &[u8]) -> bool {
-        self.entries
-            .iter()
-            .any(|(d, img)| *d == digest && img == bytes)
-    }
-
-    /// The committed image stored under `digest`, if any (receiver-side
-    /// reference resolution).
-    pub fn get(&self, digest: u64) -> Option<&[u8]> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|(d, _)| *d == digest)
-            .map(|(_, img)| &img[..])
-    }
-
-    /// Stages an image shipped as payload in a stream that is not yet
-    /// acknowledged. [`DedupTable::commit`] moves it into the table.
-    pub fn stage(&mut self, digest: u64, bytes: Vec<u8>) {
-        self.pending.push((digest, bytes));
-    }
-
-    /// Commits every staged image (the stream they rode was
-    /// acknowledged), in staging order, evicting oldest entries beyond
-    /// capacity. A re-staged digest replaces the older image.
-    pub fn commit(&mut self) {
-        let pending = std::mem::take(&mut self.pending);
-        for (digest, bytes) in pending {
-            self.insert(digest, bytes);
-        }
-    }
-
-    /// Inserts one committed image directly (the receiver path: images
-    /// resolved from an applied stream are committed facts).
-    pub fn insert(&mut self, digest: u64, bytes: Vec<u8>) {
-        self.entries.retain(|(d, _)| *d != digest);
-        self.entries.push_back((digest, bytes));
-        while self.entries.len() > self.cap {
-            self.entries.pop_front();
-        }
-    }
-
-    /// Drops every entry, committed and staged — a session reset.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.pending.clear();
-    }
-
-    /// Number of committed entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table holds no committed entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -982,16 +770,13 @@ fn chain_sum(frames: &[Frame]) -> u64 {
     })
 }
 
-/// Wire-efficiency summary of a built stream: what sub-page framing,
-/// dedup, and compression saved relative to shipping full-page frames
+/// Wire-efficiency summary of a built stream: what sub-page framing
+/// and compression saved relative to shipping full-page frames
 /// (the numbers `LinkMetrics` aggregates per replication link).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WireSavings {
     /// Frames shipped as sub-page run deltas.
     pub subpage_frames: u64,
-    /// Bytes saved by dedup references (full-page frame size minus the
-    /// reference frame size, per reference).
-    pub dedup_saved: u64,
     /// Bytes saved by payload compression (raw minus compressed, per
     /// compressed frame).
     pub compress_saved: u64,
@@ -1063,21 +848,17 @@ impl DeltaStream {
     }
 
     /// Builds a version-2 stream whose wire bytes are proportional to
-    /// the bytes that actually changed: per diffed page it emits, in
-    /// order of preference, a [`RefFrame`] (the content is already in
-    /// the committed `dedup` table, byte-verified), a partial
-    /// [`SubPageFrame`] covering only the changed 64-byte lines, a
-    /// compressed whole-page [`SubPageFrame`], or a legacy
-    /// [`PageFrame`] when the content is incompressible.
+    /// the bytes that actually changed: per diffed page it emits
+    /// exactly one of a partial [`SubPageFrame`] covering only the
+    /// changed 64-byte lines, a compressed whole-page [`SubPageFrame`],
+    /// or a legacy [`PageFrame`] when the content is incompressible.
     ///
     /// Changed lines come from `extents` (the tracker's per-page dirty
     /// line bitmaps — a conservative superset from fine-grain write
     /// tracking) when provided, else from an exact 64-byte-line diff
     /// against the retained `base` snapshot. Pages whose changed lines
     /// exceed ~50% of the page — or whose lines cannot be established —
-    /// fall back to whole-page treatment. Pages shipped as payload are
-    /// *staged* into `dedup`; the caller commits them when the stream
-    /// is acknowledged ([`DedupTable::commit`]).
+    /// fall back to whole-page treatment.
     ///
     /// # Errors
     ///
@@ -1089,7 +870,6 @@ impl DeltaStream {
         base: Option<&str>,
         target: &str,
         extents: Option<&BTreeMap<u64, u64>>,
-        mut dedup: Option<&mut DedupTable>,
     ) -> Result<DeltaStream, SnapError> {
         let entry = store
             .snapshot_lookup(target)
@@ -1114,16 +894,7 @@ impl DeltaStream {
         for (seq, page) in pages.into_iter().enumerate() {
             let seq = seq as u64;
             store.read_page_at(vt, disk, target, page, &mut tbuf)?;
-            let digest = dedup.as_ref().map(|t| t.digest(&tbuf));
-            if let (Some(table), Some(d)) = (dedup.as_ref(), digest) {
-                if table.matches(d, &tbuf) {
-                    // Byte-verified against the committed image — a
-                    // colliding digest over different bytes ships as
-                    // payload below, never as a stale reference.
-                    frames.push(Frame::Ref(RefFrame::new(seq, page, d)));
-                    continue;
-                }
-            }
+            let page_digest = fnv1a(&tbuf);
             // Changed-line bitmap: tracker hints when available, exact
             // diff against the retained base otherwise. Partial frames
             // need the receiver to hold the base content of this page,
@@ -1158,7 +929,7 @@ impl DeltaStream {
                     for (off, len) in &runs {
                         raw.extend_from_slice(&tbuf[*off as usize..(*off + *len) as usize]);
                     }
-                    Frame::Sub(SubPageFrame::new(seq, page, fnv1a(&tbuf), runs, raw))
+                    Frame::Sub(SubPageFrame::new(seq, page, page_digest, runs, raw))
                 }
                 _ => {
                     // Whole-page: compressed sub-page frame when that
@@ -1166,7 +937,7 @@ impl DeltaStream {
                     let whole = SubPageFrame::new(
                         seq,
                         page,
-                        fnv1a(&tbuf),
+                        page_digest,
                         vec![(0, BLOCK_SIZE as u16)],
                         tbuf.clone(),
                     );
@@ -1183,9 +954,6 @@ impl DeltaStream {
                 }
             };
             frames.push(frame);
-            if let (Some(table), Some(d)) = (dedup.as_deref_mut(), digest) {
-                table.stage(d, tbuf.clone());
-            }
         }
         let trailer = StreamTrailer {
             frames: frames.len() as u64,
@@ -1218,9 +986,6 @@ impl DeltaStream {
                     if sf.method == 1 {
                         s.compress_saved += sf.raw_len as u64 - sf.payload.len() as u64;
                     }
-                }
-                Frame::Ref(_) => {
-                    s.dedup_saved += (FRAME_LEN - REF_FRAME_LEN) as u64;
                 }
             }
         }
@@ -1259,8 +1024,8 @@ impl DeltaStream {
         let (header, mut off) = StreamHeader::decode(bytes)?;
         // An attacker-controlled frame count must not drive the
         // allocation — cap the reserve by what the bytes could hold
-        // (the smallest frame is a reference frame).
-        let cap = (header.frame_count as usize).min(bytes.len() / REF_FRAME_LEN + 1);
+        // (the smallest frame is an empty-run sub-page frame).
+        let cap = (header.frame_count as usize).min(bytes.len() / SUB_FIXED + 1);
         let mut frames = Vec::with_capacity(cap);
         for seq in 0..header.frame_count {
             let rest = bytes.get(off..).ok_or(SnapError::Malformed)?;
@@ -1425,42 +1190,18 @@ impl ApplySession {
     /// # Errors
     ///
     /// [`SnapError::TrailerMismatch`] if frames are missing or the
-    /// stream checksum disagrees (nothing is written), or
-    /// [`SnapError::Store`] if the commit itself fails (the replica
-    /// stays at its previous epoch).
+    /// stream checksum disagrees, [`SnapError::BaseContentMismatch`]
+    /// when a sub-page frame's patched page misses its digest (the
+    /// replica's base content is not what the sender diffed against —
+    /// the caller falls back to a full resync); nothing is written in
+    /// either case. [`SnapError::Store`] if the commit itself fails (the
+    /// replica stays at its previous epoch).
     pub fn finish(
         self,
         vt: &mut Vt,
         disk: &mut Disk,
         replica: &mut ObjectStore,
         trailer: &StreamTrailer,
-    ) -> Result<CommitToken, SnapError> {
-        self.finish_with(vt, disk, replica, trailer, None)
-    }
-
-    /// [`ApplySession::finish`] with a receiver-side dedup table:
-    /// [`Frame::Ref`] frames resolve against it, and every page that
-    /// arrived as payload is inserted into it after the commit succeeds
-    /// (mirroring the sender's stage-then-commit, so both tables hold
-    /// the same images at every acknowledged point). Version-2 streams
-    /// shipped over a deduplicating link must be finished through this
-    /// entry point; plain streams work with `None`.
-    ///
-    /// # Errors
-    ///
-    /// As [`ApplySession::finish`], plus
-    /// [`SnapError::BaseContentMismatch`] when a sub-page frame's
-    /// patched page misses its digest (the replica's base content is
-    /// not what the sender diffed against) or a reference cannot be
-    /// resolved — the caller falls back to a full resync. Nothing is
-    /// written in either case.
-    pub fn finish_with(
-        self,
-        vt: &mut Vt,
-        disk: &mut Disk,
-        replica: &mut ObjectStore,
-        trailer: &StreamTrailer,
-        dedup: Option<&mut DedupTable>,
     ) -> Result<CommitToken, SnapError> {
         if self.next_seq != self.expected_frames
             || trailer.frames != self.expected_frames
@@ -1471,12 +1212,12 @@ impl ApplySession {
         // Resolve every frame to a full page image in memory before
         // touching the store: the commit below stays a single
         // crash-atomic root switch over whole pages.
-        let mut resolved: Vec<(u64, Vec<u8>, bool)> = Vec::with_capacity(self.staged.len());
+        let mut resolved: Vec<(u64, Vec<u8>)> = Vec::with_capacity(self.staged.len());
         for frame in &self.staged {
             let page = frame.page();
             let mismatch = SnapError::BaseContentMismatch { page };
-            let (bytes, was_ref) = match frame {
-                Frame::Full(pf) => (pf.data.clone(), false),
+            let bytes = match frame {
+                Frame::Full(pf) => pf.data.clone(),
                 Frame::Sub(sf) => {
                     let mut pb = vec![0u8; BLOCK_SIZE];
                     if !sf.covers_whole() {
@@ -1487,35 +1228,18 @@ impl ApplySession {
                     if fnv1a(&pb) != sf.page_digest {
                         return Err(mismatch);
                     }
-                    (pb, false)
-                }
-                Frame::Ref(rf) => {
-                    let img = dedup
-                        .as_ref()
-                        .and_then(|t| t.get(rf.digest))
-                        .ok_or(mismatch)?;
-                    (img.to_vec(), true)
+                    pb
                 }
             };
-            resolved.push((page, bytes, was_ref));
+            resolved.push((page, bytes));
         }
-        let iov: Vec<(u64, &[u8])> = resolved.iter().map(|(p, d, _)| (*p, &d[..])).collect();
+        let iov: Vec<(u64, &[u8])> = resolved.iter().map(|(p, d)| (*p, &d[..])).collect();
         let token = match &self.rebase_from {
             None => replica.apply_image(vt, disk, self.object, &iov, self.target_epoch)?,
             Some(base) => {
                 replica.apply_image_at_base(vt, disk, self.object, base, &iov, self.target_epoch)?
             }
         };
-        // The stream landed: remember every payload image, in stream
-        // order, exactly as the sender staged them.
-        if let Some(table) = dedup {
-            for (_, bytes, was_ref) in &resolved {
-                if !*was_ref {
-                    let d = table.digest(bytes);
-                    table.insert(d, bytes.clone());
-                }
-            }
-        }
         Ok(token)
     }
 }
@@ -1574,15 +1298,7 @@ pub fn sync_to(
         .into_iter()
         .find(|s| s.object == entry.object && s.epoch == replica_epoch)
         .map(|s| s.name);
-    let stream = DeltaStream::build_v2(
-        vt,
-        primary_disk,
-        primary,
-        base.as_deref(),
-        target,
-        None,
-        None,
-    )?;
+    let stream = DeltaStream::build_v2(vt, primary_disk, primary, base.as_deref(), target, None)?;
     let wire = stream.encode();
     let bytes = wire.len() as u64;
     let stream = DeltaStream::decode(&wire)?;
@@ -2036,8 +1752,8 @@ mod tests {
         store.snapshot_create(&mut vt, &mut disk, obj, "b").unwrap();
 
         let full = DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b").unwrap();
-        let sub = DeltaStream::build_v2(&mut vt, &mut disk, &mut store, Some("a"), "b", None, None)
-            .unwrap();
+        let sub =
+            DeltaStream::build_v2(&mut vt, &mut disk, &mut store, Some("a"), "b", None).unwrap();
         assert_eq!(sub.header.version, 2);
         assert_eq!(sub.frames.len(), full.frames.len());
         // Page 2 changed one 64-byte line, page 5 two lines: every frame
@@ -2087,8 +1803,8 @@ mod tests {
         let (mut disk, mut store, mut vt, obj) = primary_with_two_snapshots();
         patch_page(&mut vt, &mut disk, &mut store, obj, 1, &[(64, 0x77)]);
         store.snapshot_create(&mut vt, &mut disk, obj, "s").unwrap();
-        let sub = DeltaStream::build_v2(&mut vt, &mut disk, &mut store, Some("b"), "s", None, None)
-            .unwrap();
+        let sub =
+            DeltaStream::build_v2(&mut vt, &mut disk, &mut store, Some("b"), "s", None).unwrap();
         assert!(matches!(&sub.frames[0], Frame::Sub(sf) if !sf.covers_whole()));
 
         // Corrupt the replica's base content for page 1 out-of-band by
@@ -2133,145 +1849,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_references_ship_for_repeated_content() {
-        let (mut disk, mut store, mut vt, obj) = primary_with_two_snapshots();
-        let mut rdisk = Disk::new(DiskConfig::paper());
-        let mut replica = ObjectStore::format(&mut rdisk);
-        let mut sender = DedupTable::default();
-        let mut receiver = DedupTable::default();
-
-        // Round 1: full sync of "b", payload images staged on the
-        // sender and inserted on the receiver at commit.
-        let s1 = DeltaStream::build_v2(
-            &mut vt,
-            &mut disk,
-            &mut store,
-            None,
-            "b",
-            None,
-            Some(&mut sender),
-        )
-        .unwrap();
-        let mut session =
-            ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &s1.header).unwrap();
-        for f in &s1.frames {
-            session.feed(f).unwrap();
-        }
-        let token = session
-            .finish_with(
-                &mut vt,
-                &mut rdisk,
-                &mut replica,
-                &s1.trailer,
-                Some(&mut receiver),
-            )
-            .unwrap();
-        ObjectStore::wait(&mut vt, token);
-        assert!(sender.is_empty(), "nothing committed before the ack");
-        sender.commit(); // the ack
-        assert_eq!(sender.len(), receiver.len());
-
-        // Round 2: rewrite page 1 with page 0's exact content — a
-        // B-tree-node-shuffle-style move. Content is in both tables.
-        let mut p0 = page_of(0);
-        store
-            .read_page_at(&mut vt, &mut disk, "b", 0, &mut p0)
-            .unwrap();
-        let t = store.persist(&mut vt, &mut disk, obj, &[(1, &p0)]).unwrap();
-        ObjectStore::wait(&mut vt, t);
-        store
-            .snapshot_create(&mut vt, &mut disk, obj, "moved")
-            .unwrap();
-        let s2 = DeltaStream::build_v2(
-            &mut vt,
-            &mut disk,
-            &mut store,
-            Some("b"),
-            "moved",
-            None,
-            Some(&mut sender),
-        )
-        .unwrap();
-        assert_eq!(s2.frames.len(), 1);
-        assert!(
-            matches!(&s2.frames[0], Frame::Ref(_)),
-            "repeated content must ship as a reference, got {:?}",
-            s2.frames[0]
-        );
-        assert!(s2.wire_savings().dedup_saved > 0);
-        assert!(s2.encoded_len() < 200, "a reference stream is tiny");
-
-        let decoded = DeltaStream::decode(&s2.encode()).unwrap();
-        let mut session =
-            ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &decoded.header).unwrap();
-        for f in &decoded.frames {
-            session.feed(f).unwrap();
-        }
-        let token = session
-            .finish_with(
-                &mut vt,
-                &mut rdisk,
-                &mut replica,
-                &decoded.trailer,
-                Some(&mut receiver),
-            )
-            .unwrap();
-        ObjectStore::wait(&mut vt, token);
-        sender.commit();
-        assert_replica_matches(
-            &mut vt,
-            &mut disk,
-            &mut store,
-            "moved",
-            &mut rdisk,
-            &mut replica,
-            5,
-        );
-
-        // A reference against a receiver that lost its table is refused
-        // (full-resync fallback), never silently misapplied.
-        let mut rdisk2 = Disk::new(DiskConfig::paper());
-        let mut replica2 = ObjectStore::format(&mut rdisk2);
-        sync_to(
-            &mut vt,
-            &mut store,
-            &mut disk,
-            &mut replica2,
-            &mut rdisk2,
-            "b",
-        )
-        .unwrap();
-        let mut session =
-            ApplySession::begin(&mut vt, &mut rdisk2, &mut replica2, &s2.header).unwrap();
-        for f in &s2.frames {
-            session.feed(f).unwrap();
-        }
-        assert_eq!(
-            session
-                .finish_with(&mut vt, &mut rdisk2, &mut replica2, &s2.trailer, None)
-                .unwrap_err(),
-            SnapError::BaseContentMismatch { page: 1 }
-        );
-    }
-
-    #[test]
-    fn colliding_digests_byte_verify_and_ship_payload() {
-        // A truncating hasher forces collisions: different content under
-        // an equal digest must never come back as a reference.
-        let mut table = DedupTable::with_hasher(8, |b| b.first().copied().unwrap_or(0) as u64);
-        let a = vec![1u8; BLOCK_SIZE];
-        let mut b = vec![1u8; BLOCK_SIZE];
-        b[BLOCK_SIZE - 1] = 9; // same digest (first byte), different bytes
-        let d = table.digest(&a);
-        assert_eq!(d, table.digest(&b));
-        table.insert(d, a.clone());
-        assert!(table.matches(d, &a));
-        assert!(!table.matches(d, &b), "collision must fail byte-verify");
-        // The builder consults matches(): with `b` the table says no,
-        // so the page ships as payload and the table re-stages `b`.
-    }
-
-    #[test]
     fn identical_content_rewrite_ships_empty_runs() {
         // Persisting a page with byte-identical content bumps the epoch
         // and shows up in the structural diff; the exact line diff finds
@@ -2292,16 +1869,8 @@ mod tests {
         store
             .snapshot_create(&mut vt, &mut disk, obj, "same")
             .unwrap();
-        let s = DeltaStream::build_v2(
-            &mut vt,
-            &mut disk,
-            &mut store,
-            Some("b"),
-            "same",
-            None,
-            None,
-        )
-        .unwrap();
+        let s =
+            DeltaStream::build_v2(&mut vt, &mut disk, &mut store, Some("b"), "same", None).unwrap();
         assert_eq!(s.frames.len(), 1);
         let Frame::Sub(sf) = &s.frames[0] else {
             panic!("expected a sub-page frame");
@@ -2351,8 +1920,8 @@ mod tests {
         store
             .snapshot_create(&mut vt, &mut disk, obj, "tip")
             .unwrap();
-        let s = DeltaStream::build_v2(&mut vt, &mut disk, &mut store, Some("b"), "tip", None, None)
-            .unwrap();
+        let s =
+            DeltaStream::build_v2(&mut vt, &mut disk, &mut store, Some("b"), "tip", None).unwrap();
         assert_eq!(s.frames.len(), 3);
 
         let mut session =
@@ -2437,23 +2006,13 @@ mod tests {
         store
             .snapshot_create(&mut vt, &mut disk, obj, "s2")
             .unwrap();
-        let mut dedup = DedupTable::default();
-        let wire = DeltaStream::build_v2(
-            &mut vt,
-            &mut disk,
-            &mut store,
-            Some("b"),
-            "s2",
-            None,
-            Some(&mut dedup),
-        )
-        .unwrap()
-        .encode();
+        let stream =
+            DeltaStream::build_v2(&mut vt, &mut disk, &mut store, Some("b"), "s2", None).unwrap();
+        let wire = stream.encode();
         for len in 0..wire.len() {
             assert!(DeltaStream::decode(&wire[..len]).is_err());
             let _ = Frame::decode(&wire[..len]);
             let _ = SubPageFrame::decode(&wire[..len]);
-            let _ = RefFrame::decode(&wire[..len]);
         }
         for stride in [1usize, 5, 11] {
             let mut bad = wire.clone();
@@ -2462,6 +2021,36 @@ mod tests {
             }
             assert!(DeltaStream::decode(&bad).is_err());
         }
+
+        // A retired 40-byte dedup-reference frame (magic "MSN APRF", then
+        // seq, page, content digest and a checksum over those three) is
+        // an unknown frame kind: malformed alone, and fatal to a stream
+        // whose trailer chains it as frame 0.
+        let mut page1 = page_of(0);
+        store
+            .read_page_at(&mut vt, &mut disk, "s2", 1, &mut page1)
+            .unwrap();
+        let (seq, page, digest) = (0u64, 1u64, fnv1a(&page1));
+        let mut old_ref = [0u8; 40];
+        write_u64(&mut old_ref, 0, 0x4d534e_41505246);
+        write_u64(&mut old_ref, 8, seq);
+        write_u64(&mut old_ref, 16, page);
+        write_u64(&mut old_ref, 24, digest);
+        let sum = [seq, page, digest]
+            .iter()
+            .fold(msnap_store::FNV_OFFSET, |h, v| {
+                fnv1a_extend(h, &v.to_le_bytes())
+            });
+        write_u64(&mut old_ref, 32, sum);
+        assert_eq!(Frame::decode(&old_ref), Err(SnapError::Malformed));
+        let mut spliced = stream.header.encode();
+        spliced.extend_from_slice(&old_ref);
+        let trailer = StreamTrailer {
+            frames: 1,
+            stream_sum: fnv1a_extend(msnap_store::FNV_OFFSET, &sum.to_le_bytes()),
+        };
+        spliced.extend_from_slice(&trailer.encode());
+        assert_eq!(DeltaStream::decode(&spliced), Err(SnapError::Malformed));
     }
 
     #[test]

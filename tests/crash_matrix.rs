@@ -406,16 +406,8 @@ fn subpage_delta_apply_crash_sweep_lands_at_base_or_target_epoch() {
     let full_wire = DeltaStream::build(&mut vt, &mut pdisk, &mut store, None, "base")
         .unwrap()
         .encode();
-    let delta = DeltaStream::build_v2(
-        &mut vt,
-        &mut pdisk,
-        &mut store,
-        Some("base"),
-        "tip",
-        None,
-        None,
-    )
-    .unwrap();
+    let delta =
+        DeltaStream::build_v2(&mut vt, &mut pdisk, &mut store, Some("base"), "tip", None).unwrap();
     assert!(
         delta
             .frames

@@ -1,10 +1,8 @@
 //! Sub-page delta shipping, end to end: a property check that sub-page
 //! (v2) streams apply byte-for-byte identically to page-granularity
-//! (v1) streams, a property check that dedup digest collisions are
-//! byte-verified and never become stale references, and a fixed-seed
-//! 30%-loss replication sweep over the small-write workload that CI
-//! runs to prove no acked epoch is ever lost and no applied page ever
-//! diverges from its digest.
+//! (v1) streams, and a fixed-seed 30%-loss replication sweep over the
+//! small-write workload that CI runs to prove no acked epoch is ever
+//! lost and no applied page ever diverges from its digest.
 
 use std::collections::BTreeMap;
 
@@ -12,7 +10,7 @@ use memsnap::{Epoch, MemSnap, PersistFlags, RegionHandle, RegionSel, PAGE_SIZE};
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
 use msnap_repl::{ReplConfig, ReplEngine};
 use msnap_sim::{Nanos, NetConfig, Vt};
-use msnap_snap::{ApplySession, DedupTable, DeltaStream, Frame};
+use msnap_snap::{ApplySession, DeltaStream};
 use msnap_store::ObjectStore;
 use msnap_vm::AsId;
 use proptest::prelude::*;
@@ -40,7 +38,7 @@ fn seeded_store(seed: u8) -> (Vt, Disk, ObjectStore, msnap_store::ObjectId) {
     (vt, disk, store, obj)
 }
 
-/// Applies one wire-encoded stream to `replica`, without a dedup table.
+/// Applies one wire-encoded stream to `replica`.
 fn apply(vt: &mut Vt, disk: &mut Disk, replica: &mut ObjectStore, wire: &[u8]) {
     let stream = DeltaStream::decode(wire).unwrap();
     let mut session = ApplySession::begin(vt, disk, replica, &stream.header).unwrap();
@@ -110,7 +108,7 @@ proptest! {
             .unwrap()
             .encode();
         let v2 = DeltaStream::build_v2(
-            &mut vt, &mut disk, &mut store, Some("base"), "tip", None, None,
+            &mut vt, &mut disk, &mut store, Some("base"), "tip", None,
         )
         .unwrap()
         .encode();
@@ -122,88 +120,6 @@ proptest! {
         let p1 = replica_pages(&mut vt, &mut d1, &mut r1);
         let p2 = replica_pages(&mut vt, &mut d2, &mut r2);
         prop_assert_eq!(p1, p2);
-    }
-
-    /// Dedup references are emitted only after a byte-level verify of
-    /// the digest hit: under a pathologically colliding hasher, a page
-    /// whose digest collides with different bytes ships as payload —
-    /// never as a stale reference — and the replica still converges to
-    /// the primary's exact image.
-    #[test]
-    fn dedup_collisions_ship_payload_never_stale_references(
-        seed in 0u8..255,
-        fill_a in any::<u8>(),
-        fill_b in any::<u8>(),
-    ) {
-        // Every page digests to its first byte: rewriting page 1 with
-        // fill_a's first byte but fill_b's tail collides whenever
-        // fill_a == fill_b would not.
-        let collider: fn(&[u8]) -> u64 = |b| u64::from(b.first().copied().unwrap_or(0));
-        let (mut vt, mut disk, mut store, obj) = seeded_store(seed);
-        let (mut rdisk, mut replica) = replica_at_base(&mut vt, &mut disk, &mut store);
-
-        // First epoch: page 0 gets a uniform fill, shipped and
-        // committed into both dedup tables (ack'd transfer).
-        let mut sender = DedupTable::with_hasher(64, collider);
-        let mut receiver = DedupTable::with_hasher(64, collider);
-        let img_a = vec![fill_a; BLOCK_SIZE];
-        let t = store.persist(&mut vt, &mut disk, obj, &[(0, &img_a[..])]).unwrap();
-        ObjectStore::wait(&mut vt, t);
-        store.snapshot_create(&mut vt, &mut disk, obj, "tip").unwrap();
-        let s1 = DeltaStream::build_v2(
-            &mut vt, &mut disk, &mut store, Some("base"), "tip", None, Some(&mut sender),
-        )
-        .unwrap();
-        let mut session =
-            ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &s1.header).unwrap();
-        for frame in &s1.frames {
-            session.feed(frame).unwrap();
-        }
-        session
-            .finish_with(&mut vt, &mut rdisk, &mut replica, &s1.trailer, Some(&mut receiver))
-            .unwrap();
-        sender.commit();
-
-        // Second epoch: page 1 gets a page that collides with page 0's
-        // digest (same first byte) but differs in the tail.
-        let mut img_b = vec![fill_a; BLOCK_SIZE];
-        img_b[1] = fill_b;
-        img_b[BLOCK_SIZE - 1] = fill_b ^ 0x55;
-        let t = store.persist(&mut vt, &mut disk, obj, &[(1, &img_b[..])]).unwrap();
-        ObjectStore::wait(&mut vt, t);
-        store.snapshot_create(&mut vt, &mut disk, obj, "tip2").unwrap();
-        let s2 = DeltaStream::build_v2(
-            &mut vt, &mut disk, &mut store, Some("tip"), "tip2", None, Some(&mut sender),
-        )
-        .unwrap();
-        let identical = img_b == img_a;
-        for frame in &s2.frames {
-            if let Frame::Ref(_) = frame {
-                prop_assert!(
-                    identical,
-                    "a colliding-but-different page must ship as payload"
-                );
-            }
-        }
-        let mut session =
-            ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &s2.header).unwrap();
-        for frame in &s2.frames {
-            session.feed(frame).unwrap();
-        }
-        session
-            .finish_with(&mut vt, &mut rdisk, &mut replica, &s2.trailer, Some(&mut receiver))
-            .unwrap();
-        sender.commit();
-
-        // Whatever form shipped, the replica is byte-identical.
-        let got = replica_pages(&mut vt, &mut rdisk, &mut replica);
-        let mut want = vec![0u8; BLOCK_SIZE];
-        for p in 0..PAGES {
-            store
-                .read_page(&mut vt, &mut disk, obj, p, &mut want)
-                .unwrap();
-            prop_assert_eq!(&got[p as usize], &want, "page {} diverges", p);
-        }
     }
 }
 
