@@ -272,8 +272,8 @@ struct SmallWritePoint {
 
 /// Shipped delta bytes under a scattered small-write workload: each
 /// epoch rewrites N 64-byte lines on N distinct pages, then ships the
-/// epoch once with page-granularity (v1) frames and once with sub-page
-/// (v2) frames diffed against the retained base.
+/// epoch once with full-page frames (`build`) and once with sub-page
+/// frames (`build_v2`) diffed against the retained base.
 fn sweep_small_writes() -> Vec<SmallWritePoint> {
     header(
         "Sub-page delta shipping vs page granularity",

@@ -251,7 +251,8 @@ impl MemSnap {
     ///
     /// # Errors
     ///
-    /// [`MsnapError::Store`] if the device holds no formatted store,
+    /// [`MsnapError::Store`] if the device holds no formatted store or a
+    /// manifest page cannot be read back,
     /// [`MsnapError::BadDescriptor`] if the manifest names an object the
     /// catalog does not hold (a corrupt image — or a promoted replica
     /// device; see [`MemSnap::restore_promoted`]).
@@ -274,7 +275,8 @@ impl MemSnap {
     ///
     /// # Errors
     ///
-    /// [`MsnapError::Store`] if the device holds no formatted store.
+    /// [`MsnapError::Store`] if the device holds no formatted store or a
+    /// manifest page cannot be read back.
     ///
     /// [`msnap-repl`]: ../msnap_repl/index.html
     pub fn restore_promoted(vt: &mut Vt, disk: Disk) -> Result<Self, MsnapError> {
@@ -290,11 +292,9 @@ impl MemSnap {
         let manifest_obj = store
             .lookup(MANIFEST_NAME)
             .ok_or(MsnapError::BadDescriptor)?;
-        let manifest = Manifest::decode(&mut |page, out| {
-            store
-                .read_page(vt, &mut disk, manifest_obj, page, &mut out[..])
-                .expect("manifest object exists");
-        });
+        let manifest = Manifest::decode(|page, out| {
+            store.read_page(vt, &mut disk, manifest_obj, page, &mut out[..])
+        })?;
 
         let mut ms = MemSnap {
             vm: Vm::new(),
@@ -1668,7 +1668,7 @@ impl MemSnap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msnap_disk::{DiskConfig, Fault, FaultPlan};
+    use msnap_disk::{DiskConfig, Fault, FaultPlan, ReadFaultPlan};
     use msnap_store::StoreError;
 
     fn fresh() -> (MemSnap, Vt, AsId) {
@@ -1910,6 +1910,34 @@ mod tests {
         let mut lost = [0u8; 8];
         ms2.read(&mut vt2, space2, r2.addr, &mut lost).unwrap();
         assert_eq!(lost, [0; 8], "unpersisted write did not survive");
+    }
+
+    #[test]
+    fn unreadable_manifest_fails_restore_with_a_store_error() {
+        for promoted in [false, true] {
+            let (mut ms, mut vt, space) = fresh();
+            let t = vt.id();
+            let r = ms.msnap_open(&mut vt, space, "data", 16).unwrap();
+            ms.write(&mut vt, space, t, r.addr, b"durable").unwrap();
+            ms.msnap_persist(&mut vt, t, RegionSel::Region(r.md), PersistFlags::sync())
+                .unwrap();
+            let mut disk = ms.shutdown();
+            // Every fallible read from here on fails, the manifest page
+            // reads included.
+            let from = disk.read_seq();
+            let plan = (0..64).fold(ReadFaultPlan::new(), |p, i| p.at(from + i, false));
+            disk.set_read_fault_plan(plan);
+            let mut vt2 = Vt::new(1);
+            let restored = if promoted {
+                MemSnap::restore_promoted(&mut vt2, disk)
+            } else {
+                MemSnap::restore(&mut vt2, disk)
+            };
+            assert!(
+                matches!(restored, Err(MsnapError::Store(StoreError::Io(_)))),
+                "promoted = {promoted}"
+            );
+        }
     }
 
     #[test]

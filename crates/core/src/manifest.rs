@@ -2,6 +2,8 @@
 //! in the object store so regions re-open at the same address after a
 //! crash.
 
+use msnap_disk::codec::{get_u64, put_u64};
+use msnap_store::StoreError;
 use msnap_vm::PAGE_SIZE;
 
 /// One region's persistent metadata.
@@ -45,7 +47,7 @@ impl Manifest {
         }
         let bytes = body.as_bytes();
         let mut framed = Vec::with_capacity(8 + bytes.len());
-        framed.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        put_u64(&mut framed, bytes.len() as u64);
         framed.extend_from_slice(bytes);
 
         let mut pages = Vec::new();
@@ -61,16 +63,23 @@ impl Manifest {
     }
 
     /// Decodes from a page reader (`read(page_index, &mut buf)`).
-    pub fn decode(read: &mut dyn FnMut(u64, &mut [u8; PAGE_SIZE])) -> Manifest {
+    ///
+    /// # Errors
+    ///
+    /// The first error `read` returns (a page that failed to read or
+    /// failed its digest).
+    pub fn decode(
+        mut read: impl FnMut(u64, &mut [u8; PAGE_SIZE]) -> Result<(), StoreError>,
+    ) -> Result<Manifest, StoreError> {
         let mut first = [0u8; PAGE_SIZE];
-        read(0, &mut first);
-        let len = u64::from_le_bytes(first[..8].try_into().unwrap()) as usize;
-        let mut framed = Vec::with_capacity(len);
-        framed.extend_from_slice(&first[8..PAGE_SIZE.min(8 + len)]);
+        read(0, &mut first)?;
+        let len = get_u64(&first, 0) as usize;
+        // No reserve from the length field: it is read back from disk.
+        let mut framed = first[8..8 + len.min(PAGE_SIZE - 8)].to_vec();
         let mut page = 1u64;
         while framed.len() < len {
             let mut buf = [0u8; PAGE_SIZE];
-            read(page, &mut buf);
+            read(page, &mut buf)?;
             let take = (len - framed.len()).min(PAGE_SIZE);
             framed.extend_from_slice(&buf[..take]);
             page += 1;
@@ -101,10 +110,10 @@ impl Manifest {
                 pages,
             });
         }
-        Manifest {
+        Ok(Manifest {
             entries,
             shard_count,
-        }
+        })
     }
 }
 
@@ -114,9 +123,11 @@ mod tests {
 
     fn round_trip(m: &Manifest) -> Manifest {
         let pages = m.encode_pages();
-        Manifest::decode(&mut |i, out| {
+        Manifest::decode(|i, out| {
             *out = *pages.get(i as usize).unwrap_or(&[0u8; PAGE_SIZE]);
+            Ok(())
         })
+        .unwrap()
     }
 
     #[test]

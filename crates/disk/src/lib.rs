@@ -36,6 +36,7 @@
 
 #![warn(missing_docs)]
 
+pub mod codec;
 mod device;
 mod fault;
 mod fnv;

@@ -4,6 +4,7 @@
 //! length-prefixed and checksummed, appended to a file, made durable with
 //! `fsync`, and replayed after a crash up to the first torn record.
 
+use msnap_disk::codec::{get_u64, put_u64};
 use msnap_disk::{fnv1a, Disk};
 use msnap_sim::Vt;
 
@@ -78,8 +79,8 @@ impl WriteAheadLog {
     /// Appends one record (buffered; not yet durable).
     pub fn append(&mut self, vt: &mut Vt, disk: &mut Disk, fs: &mut FileSystem, payload: &[u8]) {
         let mut frame = Vec::with_capacity(16 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        put_u64(&mut frame, payload.len() as u64);
+        put_u64(&mut frame, fnv1a(payload));
         frame.extend_from_slice(payload);
         fs.write(vt, disk, self.fd, self.append_offset, &frame);
         self.append_offset += frame.len() as u64;
@@ -110,9 +111,11 @@ impl WriteAheadLog {
             }
             let mut header = [0u8; 16];
             fs.read(vt, disk, self.fd, offset, &mut header);
-            let len = u64::from_le_bytes(header[0..8].try_into().unwrap());
-            let checksum = u64::from_le_bytes(header[8..16].try_into().unwrap());
-            if len == 0 || offset + 16 + len > size {
+            let len = get_u64(&header, 0);
+            let checksum = get_u64(&header, 8);
+            // A rotted length can be any value: compare it against the
+            // bytes left instead of adding it to the offset.
+            if len == 0 || len > size - (offset + 16) {
                 break;
             }
             let mut payload = vec![0u8; len as usize];
@@ -199,6 +202,23 @@ mod tests {
         let records = wal2.replay(&mut vt, &mut disk, &mut fs);
         assert_eq!(records.len(), 2);
         assert_eq!(records[1].payload, b"b");
+    }
+
+    #[test]
+    fn rotted_length_stops_replay_at_the_last_intact_record() {
+        let (mut fs, mut disk, mut vt) = setup();
+        let mut wal = WriteAheadLog::create(&mut vt, &mut fs, "wal");
+        wal.append(&mut vt, &mut disk, &mut fs, b"good");
+        wal.append(&mut vt, &mut disk, &mut fs, b"next");
+        // The second record's length field now claims nearly 2^64 bytes.
+        let second_header_off = 16 + 4;
+        let lie = (u64::MAX - 20).to_le_bytes();
+        fs.write(&mut vt, &mut disk, wal.fd(), second_header_off, &lie);
+        wal.sync(&mut vt, &mut disk, &mut fs);
+        let records = wal.replay(&mut vt, &mut disk, &mut fs);
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].payload, b"good");
+        assert_eq!(wal.len(), second_header_off);
     }
 
     #[test]

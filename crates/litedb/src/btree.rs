@@ -5,6 +5,7 @@
 //! are page-aligned). All page IO goes through the [`Backend`] trait, so
 //! the same tree runs over the WAL baseline and the MemSnap region.
 
+use msnap_disk::codec::{get_u16, get_u32, get_u64, set_u16, set_u32, set_u64};
 use msnap_sim::{Category, Nanos, Vt, VthreadId};
 
 use crate::backend::Backend;
@@ -29,19 +30,6 @@ const NODE_VISIT: Nanos = Nanos::from_ns(150);
 
 type Page = [u8; PAGE_SIZE];
 
-fn read_u16(p: &[u8], off: usize) -> u16 {
-    u16::from_le_bytes(p[off..off + 2].try_into().unwrap())
-}
-fn write_u16(p: &mut [u8], off: usize, v: u16) {
-    p[off..off + 2].copy_from_slice(&v.to_le_bytes());
-}
-fn read_u64(p: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(p[off..off + 8].try_into().unwrap())
-}
-fn write_u64(p: &mut [u8], off: usize, v: u64) {
-    p[off..off + 8].copy_from_slice(&v.to_le_bytes());
-}
-
 // ---- Leaf page accessors ------------------------------------------------
 
 fn leaf_init(p: &mut Page) {
@@ -50,15 +38,15 @@ fn leaf_init(p: &mut Page) {
 }
 
 fn leaf_nkeys(p: &Page) -> usize {
-    read_u16(p, 2) as usize
+    get_u16(p, 2) as usize
 }
 
 fn leaf_next(p: &Page) -> u64 {
-    read_u64(p, 8)
+    get_u64(p, 8)
 }
 
 fn leaf_set_next(p: &mut Page, next: u64) {
-    write_u64(p, 8, next);
+    set_u64(p, 8, next);
 }
 
 /// Decodes all leaf entries.
@@ -67,8 +55,8 @@ fn leaf_entries(p: &Page) -> Vec<(u64, Vec<u8>)> {
     let mut off = LEAF_HDR;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let key = read_u64(p, off);
-        let vlen = read_u16(p, off + 8) as usize;
+        let key = get_u64(p, off);
+        let vlen = get_u16(p, off + 8) as usize;
         out.push((key, p[off + 10..off + 10 + vlen].to_vec()));
         off += LEAF_ENTRY_FIXED + vlen;
     }
@@ -87,11 +75,11 @@ fn leaf_write_entries(p: &mut Page, next: u64, entries: &[(u64, Vec<u8>)]) -> bo
     }
     leaf_init(p);
     leaf_set_next(p, next);
-    write_u16(p, 2, entries.len() as u16);
+    set_u16(p, 2, entries.len() as u16);
     let mut off = LEAF_HDR;
     for (key, value) in entries {
-        write_u64(p, off, *key);
-        write_u16(p, off + 8, value.len() as u16);
+        set_u64(p, off, *key);
+        set_u16(p, off + 8, value.len() as u16);
         p[off + 10..off + 10 + value.len()].copy_from_slice(value);
         off += LEAF_ENTRY_FIXED + value.len();
     }
@@ -106,23 +94,23 @@ fn interior_write(p: &mut Page, child0: u64, entries: &[(u64, u64)]) -> bool {
     }
     p.fill(0);
     p[0] = TYPE_INTERIOR;
-    write_u16(p, 2, entries.len() as u16);
-    write_u64(p, 8, child0);
+    set_u16(p, 2, entries.len() as u16);
+    set_u64(p, 8, child0);
     for (i, (key, child)) in entries.iter().enumerate() {
-        write_u64(p, INT_HDR + i * INT_ENTRY, *key);
-        write_u64(p, INT_HDR + i * INT_ENTRY + 8, *child);
+        set_u64(p, INT_HDR + i * INT_ENTRY, *key);
+        set_u64(p, INT_HDR + i * INT_ENTRY + 8, *child);
     }
     true
 }
 
 fn interior_read(p: &Page) -> (u64, Vec<(u64, u64)>) {
-    let n = read_u16(p, 2) as usize;
-    let child0 = read_u64(p, 8);
+    let n = get_u16(p, 2) as usize;
+    let child0 = get_u64(p, 8);
     let entries = (0..n)
         .map(|i| {
             (
-                read_u64(p, INT_HDR + i * INT_ENTRY),
-                read_u64(p, INT_HDR + i * INT_ENTRY + 8),
+                get_u64(p, INT_HDR + i * INT_ENTRY),
+                get_u64(p, INT_HDR + i * INT_ENTRY + 8),
             )
         })
         .collect();
@@ -143,20 +131,20 @@ fn interior_child_for(child0: u64, entries: &[(u64, u64)], key: u64) -> u64 {
 // ---- Meta page -----------------------------------------------------------
 
 fn meta_read(p: &Page) -> (u64, [u64; MAX_TABLES]) {
-    let npages = read_u64(p, 8);
+    let npages = get_u64(p, 8);
     let mut roots = [0u64; MAX_TABLES];
     for (i, r) in roots.iter_mut().enumerate() {
-        *r = read_u64(p, 16 + i * 8);
+        *r = get_u64(p, 16 + i * 8);
     }
     (npages, roots)
 }
 
 fn meta_write(p: &mut Page, npages: u64, roots: &[u64; MAX_TABLES]) {
     p.fill(0);
-    p[0..4].copy_from_slice(&META_MAGIC.to_le_bytes());
-    write_u64(p, 8, npages);
+    set_u32(p, 0, META_MAGIC);
+    set_u64(p, 8, npages);
     for (i, r) in roots.iter().enumerate() {
-        write_u64(p, 16 + i * 8, *r);
+        set_u64(p, 16 + i * 8, *r);
     }
 }
 
@@ -178,7 +166,7 @@ impl BTreeForest {
     pub fn is_initialized(vt: &mut Vt, backend: &mut dyn Backend) -> bool {
         let mut meta = [0u8; PAGE_SIZE];
         backend.read_page(vt, 0, &mut meta);
-        u32::from_le_bytes(meta[0..4].try_into().unwrap()) == META_MAGIC
+        get_u32(&meta, 0) == META_MAGIC
     }
 
     fn alloc_page(

@@ -9,6 +9,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use msnap_disk::codec::{get_u64, put_u64};
 use msnap_disk::Disk;
 use msnap_fs::{Fd, FileSystem, FsKind, WriteAheadLog};
 use msnap_sim::{Category, Meters, Nanos, Vt, VthreadId};
@@ -86,7 +87,7 @@ impl FileBackend {
         self.cache_order.clear();
         self.wal_latest.clear();
         for record in self.wal.replay(vt, &mut self.disk, &mut self.fs) {
-            let page = u64::from_le_bytes(record.payload[0..8].try_into().unwrap());
+            let page = get_u64(&record.payload, 0);
             self.wal_latest
                 .insert(page, record.payload[8..].to_vec().into_boxed_slice());
         }
@@ -166,7 +167,7 @@ impl Backend for FileBackend {
         pages.sort_unstable();
         for page in pages {
             let mut frame = Vec::with_capacity(8 + PAGE_SIZE);
-            frame.extend_from_slice(&page.to_le_bytes());
+            put_u64(&mut frame, page);
             frame.extend_from_slice(&self.wal_latest[&page]);
             self.wal.append(vt, &mut self.disk, &mut self.fs, &frame);
             self.stats.pages_persisted += 1;

@@ -21,6 +21,7 @@
 //! duplicate response re-verifies against the digest and lands as a
 //! no-op commit.
 
+use msnap_disk::codec::{put_u64, Reader};
 use msnap_disk::BLOCK_SIZE;
 use msnap_snap::{Frame, SnapError, StreamHeader, StreamTrailer};
 use msnap_store::Epoch;
@@ -77,8 +78,7 @@ pub enum Msg {
         header: StreamHeader,
     },
     /// Primary → replica: one frame of the stream — a full page or a
-    /// sub-page run delta (the wire forms are magic-dispatched, so v1
-    /// full-page datagrams decode unchanged).
+    /// sub-page run delta (the wire forms are magic-dispatched).
     Frame {
         /// Ship the frame belongs to.
         ship: u64,
@@ -149,28 +149,12 @@ pub enum Msg {
     },
 }
 
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn read_u64(buf: &[u8], off: &mut usize) -> Result<u64, SnapError> {
-    let end = off.checked_add(8).ok_or(SnapError::Malformed)?;
-    let bytes = buf.get(*off..end).ok_or(SnapError::Malformed)?;
-    *off = end;
-    let mut v = [0u8; 8];
-    v.copy_from_slice(bytes);
-    Ok(u64::from_le_bytes(v))
-}
-
-fn read_name(buf: &[u8], off: &mut usize) -> Result<String, SnapError> {
-    let len = read_u64(buf, off)? as usize;
+fn read_name(r: &mut Reader) -> Result<String, SnapError> {
+    let len = r.u64()? as usize;
     if len > MAX_NAME {
         return Err(SnapError::Malformed);
     }
-    let end = off.checked_add(len).ok_or(SnapError::Malformed)?;
-    let bytes = buf.get(*off..end).ok_or(SnapError::Malformed)?;
-    *off = end;
-    String::from_utf8(bytes.to_vec()).map_err(|_| SnapError::Malformed)
+    String::from_utf8(r.take(len)?.to_vec()).map_err(|_| SnapError::Malformed)
 }
 
 impl Msg {
@@ -179,31 +163,31 @@ impl Msg {
         let mut out = Vec::new();
         match self {
             Msg::Hello { objects } => {
-                push_u64(&mut out, TAG_HELLO);
-                push_u64(&mut out, objects.len() as u64);
+                put_u64(&mut out, TAG_HELLO);
+                put_u64(&mut out, objects.len() as u64);
                 for o in objects {
-                    push_u64(&mut out, o.name.len() as u64);
+                    put_u64(&mut out, o.name.len() as u64);
                     out.extend_from_slice(o.name.as_bytes());
-                    push_u64(&mut out, o.epoch);
-                    push_u64(&mut out, o.retained.len() as u64);
+                    put_u64(&mut out, o.epoch);
+                    put_u64(&mut out, o.retained.len() as u64);
                     for &e in &o.retained {
-                        push_u64(&mut out, e);
+                        put_u64(&mut out, e);
                     }
                 }
             }
             Msg::Begin { ship, header } => {
-                push_u64(&mut out, TAG_BEGIN);
-                push_u64(&mut out, *ship);
+                put_u64(&mut out, TAG_BEGIN);
+                put_u64(&mut out, *ship);
                 out.extend_from_slice(&header.encode());
             }
             Msg::Frame { ship, frame } => {
-                push_u64(&mut out, TAG_FRAME);
-                push_u64(&mut out, *ship);
+                put_u64(&mut out, TAG_FRAME);
+                put_u64(&mut out, *ship);
                 out.extend_from_slice(&frame.encode());
             }
             Msg::End { ship, trailer } => {
-                push_u64(&mut out, TAG_END);
-                push_u64(&mut out, *ship);
+                put_u64(&mut out, TAG_END);
+                put_u64(&mut out, *ship);
                 out.extend_from_slice(&trailer.encode());
             }
             Msg::Ack {
@@ -211,16 +195,16 @@ impl Msg {
                 object,
                 epoch,
             } => {
-                push_u64(&mut out, TAG_ACK);
-                push_u64(&mut out, *ship);
-                push_u64(&mut out, object.len() as u64);
+                put_u64(&mut out, TAG_ACK);
+                put_u64(&mut out, *ship);
+                put_u64(&mut out, object.len() as u64);
                 out.extend_from_slice(object.as_bytes());
-                push_u64(&mut out, *epoch);
+                put_u64(&mut out, *epoch);
             }
             Msg::Nak { ship, next_seq } => {
-                push_u64(&mut out, TAG_NAK);
-                push_u64(&mut out, *ship);
-                push_u64(&mut out, *next_seq);
+                put_u64(&mut out, TAG_NAK);
+                put_u64(&mut out, *ship);
+                put_u64(&mut out, *next_seq);
             }
             Msg::RepairRequest {
                 object,
@@ -228,19 +212,19 @@ impl Msg {
                 page_digest,
                 epoch,
             } => {
-                push_u64(&mut out, TAG_REPAIR_REQUEST);
-                push_u64(&mut out, object.len() as u64);
+                put_u64(&mut out, TAG_REPAIR_REQUEST);
+                put_u64(&mut out, object.len() as u64);
                 out.extend_from_slice(object.as_bytes());
-                push_u64(&mut out, *page);
-                push_u64(&mut out, *page_digest as u64);
-                push_u64(&mut out, *epoch);
+                put_u64(&mut out, *page);
+                put_u64(&mut out, *page_digest as u64);
+                put_u64(&mut out, *epoch);
             }
             Msg::CutAnnounce { seq, epochs } => {
-                push_u64(&mut out, TAG_CUT_ANNOUNCE);
-                push_u64(&mut out, *seq);
-                push_u64(&mut out, epochs.len() as u64);
+                put_u64(&mut out, TAG_CUT_ANNOUNCE);
+                put_u64(&mut out, *seq);
+                put_u64(&mut out, epochs.len() as u64);
                 for &e in epochs {
-                    push_u64(&mut out, e);
+                    put_u64(&mut out, e);
                 }
             }
             Msg::RepairResponse {
@@ -250,11 +234,11 @@ impl Msg {
                 data,
             } => {
                 assert_eq!(data.len(), BLOCK_SIZE, "repair payloads are one page");
-                push_u64(&mut out, TAG_REPAIR_RESPONSE);
-                push_u64(&mut out, object.len() as u64);
+                put_u64(&mut out, TAG_REPAIR_RESPONSE);
+                put_u64(&mut out, object.len() as u64);
                 out.extend_from_slice(object.as_bytes());
-                push_u64(&mut out, *page);
-                push_u64(&mut out, *page_digest as u64);
+                put_u64(&mut out, *page);
+                put_u64(&mut out, *page_digest as u64);
                 out.extend_from_slice(data);
             }
         }
@@ -269,25 +253,25 @@ impl Msg {
     /// [`SnapError::Malformed`] for structural damage (truncation, bad
     /// tag, oversized claims).
     pub fn decode(buf: &[u8]) -> Result<Msg, SnapError> {
-        let mut off = 0;
-        let tag = read_u64(buf, &mut off)?;
+        let mut r = Reader::new(buf);
+        let tag = r.u64()?;
         match tag {
             TAG_HELLO => {
-                let count = read_u64(buf, &mut off)? as usize;
+                let count = r.u64()? as usize;
                 if count > MAX_OBJECTS {
                     return Err(SnapError::Malformed);
                 }
                 let mut objects = Vec::with_capacity(count.min(buf.len() / 24 + 1));
                 for _ in 0..count {
-                    let name = read_name(buf, &mut off)?;
-                    let epoch = read_u64(buf, &mut off)?;
-                    let n = read_u64(buf, &mut off)? as usize;
+                    let name = read_name(&mut r)?;
+                    let epoch = r.u64()?;
+                    let n = r.u64()? as usize;
                     if n > MAX_RETAINED {
                         return Err(SnapError::Malformed);
                     }
                     let mut retained = Vec::with_capacity(n.min(buf.len() / 8 + 1));
                     for _ in 0..n {
-                        retained.push(read_u64(buf, &mut off)?);
+                        retained.push(r.u64()?);
                     }
                     objects.push(ObjectStatus {
                         name,
@@ -298,27 +282,24 @@ impl Msg {
                 Ok(Msg::Hello { objects })
             }
             TAG_BEGIN => {
-                let ship = read_u64(buf, &mut off)?;
-                let rest = buf.get(off..).ok_or(SnapError::Malformed)?;
-                let (header, _) = StreamHeader::decode(rest)?;
+                let ship = r.u64()?;
+                let (header, _) = StreamHeader::decode(r.rest())?;
                 Ok(Msg::Begin { ship, header })
             }
             TAG_FRAME => {
-                let ship = read_u64(buf, &mut off)?;
-                let rest = buf.get(off..).ok_or(SnapError::Malformed)?;
-                let (frame, _) = Frame::decode(rest)?;
+                let ship = r.u64()?;
+                let (frame, _) = Frame::decode(r.rest())?;
                 Ok(Msg::Frame { ship, frame })
             }
             TAG_END => {
-                let ship = read_u64(buf, &mut off)?;
-                let rest = buf.get(off..).ok_or(SnapError::Malformed)?;
-                let (trailer, _) = StreamTrailer::decode(rest)?;
+                let ship = r.u64()?;
+                let (trailer, _) = StreamTrailer::decode(r.rest())?;
                 Ok(Msg::End { ship, trailer })
             }
             TAG_ACK => {
-                let ship = read_u64(buf, &mut off)?;
-                let object = read_name(buf, &mut off)?;
-                let epoch = read_u64(buf, &mut off)?;
+                let ship = r.u64()?;
+                let object = read_name(&mut r)?;
+                let epoch = r.u64()?;
                 Ok(Msg::Ack {
                     ship,
                     object,
@@ -326,18 +307,18 @@ impl Msg {
                 })
             }
             TAG_NAK => {
-                let ship = read_u64(buf, &mut off)?;
-                let next_seq = read_u64(buf, &mut off)?;
+                let ship = r.u64()?;
+                let next_seq = r.u64()?;
                 Ok(Msg::Nak { ship, next_seq })
             }
             TAG_REPAIR_REQUEST => {
-                let object = read_name(buf, &mut off)?;
-                let page = read_u64(buf, &mut off)?;
-                let page_digest = read_u64(buf, &mut off)?;
+                let object = read_name(&mut r)?;
+                let page = r.u64()?;
+                let page_digest = r.u64()?;
                 if page_digest > u32::MAX as u64 {
                     return Err(SnapError::Malformed);
                 }
-                let epoch = read_u64(buf, &mut off)?;
+                let epoch = r.u64()?;
                 Ok(Msg::RepairRequest {
                     object,
                     page,
@@ -346,27 +327,26 @@ impl Msg {
                 })
             }
             TAG_CUT_ANNOUNCE => {
-                let seq = read_u64(buf, &mut off)?;
-                let n = read_u64(buf, &mut off)? as usize;
+                let seq = r.u64()?;
+                let n = r.u64()? as usize;
                 if n > MAX_CUT_EPOCHS {
                     return Err(SnapError::Malformed);
                 }
                 let mut epochs = Vec::with_capacity(n.min(buf.len() / 8 + 1));
                 for _ in 0..n {
-                    epochs.push(read_u64(buf, &mut off)?);
+                    epochs.push(r.u64()?);
                 }
                 Ok(Msg::CutAnnounce { seq, epochs })
             }
             TAG_REPAIR_RESPONSE => {
-                let object = read_name(buf, &mut off)?;
-                let page = read_u64(buf, &mut off)?;
-                let page_digest = read_u64(buf, &mut off)?;
+                let object = read_name(&mut r)?;
+                let page = r.u64()?;
+                let page_digest = r.u64()?;
                 if page_digest > u32::MAX as u64 {
                     return Err(SnapError::Malformed);
                 }
-                let end = off.checked_add(BLOCK_SIZE).ok_or(SnapError::Malformed)?;
-                let data = buf.get(off..end).ok_or(SnapError::Malformed)?.to_vec();
-                if buf.len() != end {
+                let data = r.take(BLOCK_SIZE)?.to_vec();
+                if !r.is_empty() {
                     // Trailing garbage would make retransmits ambiguous.
                     return Err(SnapError::Malformed);
                 }
@@ -436,9 +416,14 @@ mod tests {
                 data: vec![0x5A; BLOCK_SIZE],
             },
         ];
+        let mut wire = Vec::new();
         for m in msgs {
+            wire.extend_from_slice(&m.encode());
             assert_eq!(Msg::decode(&m.encode()).unwrap(), m);
         }
+        // Pinned: the datagram encodings are unchanged across releases
+        // (Begin and Frame carry snap's header and frames, pinned there).
+        assert_eq!(msnap_disk::fnv1a(&wire), 0xed942c25c70d3a97);
     }
 
     #[test]
@@ -460,12 +445,12 @@ mod tests {
         assert!(Msg::decode(&long).is_err());
         // A digest claim that does not fit 32 bits.
         let mut req = Vec::new();
-        push_u64(&mut req, TAG_REPAIR_REQUEST);
-        push_u64(&mut req, 1);
+        put_u64(&mut req, TAG_REPAIR_REQUEST);
+        put_u64(&mut req, 1);
         req.push(b'x');
-        push_u64(&mut req, 0); // page
-        push_u64(&mut req, u64::MAX); // digest out of range
-        push_u64(&mut req, 1); // epoch
+        put_u64(&mut req, 0); // page
+        put_u64(&mut req, u64::MAX); // digest out of range
+        put_u64(&mut req, 1); // epoch
         assert!(Msg::decode(&req).is_err());
     }
 
@@ -476,15 +461,15 @@ mod tests {
         assert!(Msg::decode(&99u64.to_le_bytes()).is_err());
         // A Hello lying about its counts must not over-allocate.
         let mut lying = Vec::new();
-        push_u64(&mut lying, TAG_HELLO);
-        push_u64(&mut lying, u64::MAX);
+        put_u64(&mut lying, TAG_HELLO);
+        put_u64(&mut lying, u64::MAX);
         assert!(Msg::decode(&lying).is_err());
         // Likewise a CutAnnounce claiming an absurd epoch count, or one
         // truncated mid-vector.
         let mut lying = Vec::new();
-        push_u64(&mut lying, TAG_CUT_ANNOUNCE);
-        push_u64(&mut lying, 1); // seq
-        push_u64(&mut lying, u64::MAX);
+        put_u64(&mut lying, TAG_CUT_ANNOUNCE);
+        put_u64(&mut lying, 1); // seq
+        put_u64(&mut lying, u64::MAX);
         assert!(Msg::decode(&lying).is_err());
         let cut = Msg::CutAnnounce {
             seq: 3,

@@ -19,6 +19,7 @@
 //! length, values a `u16` length, vectors a `u32` element count; all
 //! lengths are validated against the remaining body before allocation.
 
+use msnap_disk::codec::{put_u16, put_u32, put_u64, Reader, Truncated};
 use msnap_store::fnv1a;
 
 /// Hard cap on one stored value; a slot is 64 bytes with 2 bytes of
@@ -60,6 +61,12 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<Truncated> for WireError {
+    fn from(_: Truncated) -> Self {
+        WireError::Truncated
+    }
+}
 
 /// Error codes a server returns in [`Response::Err`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -315,15 +322,6 @@ pub enum Response {
 
 // ---- encoding ----------------------------------------------------------
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u16(buf, s.len() as u16);
     buf.extend_from_slice(s.as_bytes());
@@ -563,89 +561,36 @@ pub fn append_request(out: &mut Vec<u8>, r: &Request) {
 
 // ---- decoding ----------------------------------------------------------
 
-/// A bounds-checked body reader.
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
+/// Reads a `u16`-length tenant name, capped at [`MAX_TENANT_BYTES`].
+fn str(r: &mut Reader) -> Result<String, WireError> {
+    let n = r.u16()? as usize;
+    if n > MAX_TENANT_BYTES {
+        return Err(WireError::BadLength);
+    }
+    String::from_utf8(r.take(n)?.to_vec()).map_err(|_| WireError::BadString)
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, at: 0 }
+/// Reads a `u16`-length value, capped at [`MAX_VALUE_BYTES`].
+fn val(r: &mut Reader) -> Result<Vec<u8>, WireError> {
+    let n = r.u16()? as usize;
+    if n > MAX_VALUE_BYTES {
+        return Err(WireError::BadLength);
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.at.checked_add(n).ok_or(WireError::BadLength)?;
-        let s = self.buf.get(self.at..end).ok_or(WireError::Truncated)?;
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        let s = self.take(2)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let s = self.take(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        let n = self.u16()? as usize;
-        if n > MAX_TENANT_BYTES {
-            return Err(WireError::BadLength);
-        }
-        let s = self.take(n)?;
-        String::from_utf8(s.to_vec()).map_err(|_| WireError::BadString)
-    }
-
-    fn val(&mut self) -> Result<Vec<u8>, WireError> {
-        let n = self.u16()? as usize;
-        if n > MAX_VALUE_BYTES {
-            return Err(WireError::BadLength);
-        }
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn finish(&self) -> Result<(), WireError> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::BadLength)
-        }
-    }
+    Ok(r.take(n)?.to_vec())
 }
 
 /// Splits a datagram into checksum-verified frame bodies.
 fn deframe(datagram: &[u8]) -> Result<Vec<&[u8]>, WireError> {
     let mut bodies = Vec::new();
-    let mut at = 0usize;
-    while at < datagram.len() {
-        let hdr = datagram.get(at..at + 12).ok_or(WireError::Truncated)?;
-        let len = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]) as usize;
-        let mut crc = [0u8; 8];
-        crc.copy_from_slice(&hdr[4..12]);
-        let crc = u64::from_le_bytes(crc);
-        let start = at + 12;
-        let end = start.checked_add(len).ok_or(WireError::BadLength)?;
-        let body = datagram.get(start..end).ok_or(WireError::Truncated)?;
+    let mut r = Reader::new(datagram);
+    while !r.is_empty() {
+        let len = r.u32()? as usize;
+        let crc = r.u64()?;
+        let body = r.take(len)?;
         if fnv1a(body) != crc {
             return Err(WireError::BadChecksum);
         }
         bodies.push(body);
-        at = end;
     }
     Ok(bodies)
 }
@@ -659,27 +604,27 @@ fn parse_request(body: &[u8]) -> Result<Request, WireError> {
         0x02 => Request::Put {
             session: r.u64()?,
             req: r.u64()?,
-            tenant: r.str()?,
+            tenant: str(&mut r)?,
             key: r.u64()?,
-            value: r.val()?,
+            value: val(&mut r)?,
         },
         0x03 => Request::Get {
             session: r.u64()?,
             req: r.u64()?,
-            tenant: r.str()?,
+            tenant: str(&mut r)?,
             key: r.u64()?,
         },
         0x04 => Request::Scan {
             session: r.u64()?,
             req: r.u64()?,
-            tenant: r.str()?,
+            tenant: str(&mut r)?,
             lo: r.u64()?,
             hi: r.u64()?,
         },
         0x05 => Request::Subscribe {
             session: r.u64()?,
             req: r.u64()?,
-            tenant: r.str()?,
+            tenant: str(&mut r)?,
             lo: r.u64()?,
             hi: r.u64()?,
         },
@@ -698,7 +643,9 @@ fn parse_request(body: &[u8]) -> Result<Request, WireError> {
         },
         t => return Err(WireError::BadTag(t)),
     };
-    r.finish()?;
+    if !r.is_empty() {
+        return Err(WireError::BadLength); // trailing bytes
+    }
     Ok(req)
 }
 
@@ -720,7 +667,7 @@ fn parse_response(body: &[u8]) -> Result<Response, WireError> {
             let from_replica = r.u8()? != 0;
             let value = match r.u8()? {
                 0 => None,
-                1 => Some(r.val()?),
+                1 => Some(val(&mut r)?),
                 t => return Err(WireError::BadTag(t)),
             };
             Response::GetOk {
@@ -740,7 +687,7 @@ fn parse_response(body: &[u8]) -> Result<Response, WireError> {
             }
             let mut pairs = Vec::with_capacity(n);
             for _ in 0..n {
-                pairs.push((r.u64()?, r.val()?));
+                pairs.push((r.u64()?, val(&mut r)?));
             }
             Response::ScanOk { req, pairs }
         }
@@ -823,7 +770,9 @@ fn parse_response(body: &[u8]) -> Result<Response, WireError> {
         },
         t => return Err(WireError::BadTag(t)),
     };
-    r.finish()?;
+    if !r.is_empty() {
+        return Err(WireError::BadLength); // trailing bytes
+    }
     Ok(resp)
 }
 
@@ -975,10 +924,14 @@ mod tests {
 
     #[test]
     fn requests_round_trip() {
+        let mut wire = Vec::new();
         for r in sample_requests() {
             let dg = encode_request(&r);
+            wire.extend_from_slice(&dg);
             assert_eq!(decode_requests(&dg).unwrap(), vec![r]);
         }
+        // Pinned: the request encoding is unchanged across releases.
+        assert_eq!(fnv1a(&wire), 0xc7fbe96f4dfb3a6c);
     }
 
     #[test]
@@ -994,6 +947,8 @@ mod tests {
             append_response(&mut dg, r);
         }
         assert_eq!(decode_responses(&dg).unwrap(), all);
+        // Pinned: the response encoding is unchanged across releases.
+        assert_eq!(fnv1a(&dg), 0x819278ef37e65339);
     }
 
     #[test]

@@ -25,13 +25,13 @@
 //!   epoch matches a retained base snapshot on the primary, full-sync
 //!   fallback when that base is gone.
 //!
-//! Version-2 streams ([`DeltaStream::build_v2`]) make the wire bytes
-//! proportional to the bytes that changed: [`SubPageFrame`]s carry only
-//! the changed 64-byte lines of a page (compressed per frame, with an
-//! incompressible bypass); each diffed page travels as exactly one
-//! partial sub-page frame, whole-page sub-page frame, or full frame.
-//! Version-1 streams remain fully decodable — [`DeltaStream::build`]
-//! still emits them byte-identically to prior releases.
+//! [`DeltaStream::build_v2`] makes the wire bytes proportional to the
+//! bytes that changed: [`SubPageFrame`]s carry only the changed 64-byte
+//! lines of a page (compressed per frame, with an incompressible
+//! bypass); each diffed page travels as exactly one partial sub-page
+//! frame, whole-page sub-page frame, or full frame.
+//! [`DeltaStream::build`] ships every page as a full frame. Both emit
+//! the one stream format and header, decoded frame by frame.
 //!
 //! Every wire structure also encodes and decodes **piecewise**
 //! ([`StreamHeader::encode`], [`PageFrame::encode`],
@@ -63,16 +63,15 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
+use msnap_disk::codec::{put_u16, put_u32, put_u64, set_u64, Reader, Truncated};
 use msnap_disk::{Disk, BLOCK_SIZE};
 use msnap_sim::Vt;
 use msnap_store::{
     fnv1a, fnv1a_extend, CommitToken, Epoch, ObjectId, ObjectStore, StoreError, VectorCut,
 };
 
-/// Magic number opening a version-1 (full-page frames only) header.
-const STREAM_MAGIC: u64 = 0x4d534e_41504453; // "MSN APDS"
-/// Magic number opening a version-2 (sub-page capable) header.
-const STREAM_MAGIC_V2: u64 = 0x4d534e_41504532; // "MSN APE2"
+/// Magic number opening a stream header.
+const STREAM_MAGIC: u64 = 0x4d534e_41504532; // "MSN APE2"
 /// Magic number opening each full-page frame.
 const FRAME_MAGIC: u64 = 0x4d534e_41504446; // "MSN APDF"
 /// Magic number opening each sub-page frame.
@@ -189,6 +188,12 @@ impl From<StoreError> for SnapError {
     }
 }
 
+impl From<Truncated> for SnapError {
+    fn from(_: Truncated) -> Self {
+        SnapError::Malformed
+    }
+}
+
 /// The self-describing head of a delta stream: which object it updates,
 /// the epoch span it covers, and how many frames follow.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,11 +212,6 @@ pub struct StreamHeader {
     /// Replication uses it to promote replicas only at manifest-wide
     /// consistent cuts. `None` encodes as a zero-length cut.
     pub cut: Option<VectorCut>,
-    /// Stream format version, carried as the header magic: `1` streams
-    /// hold only full-page frames (what every prior build emits and any
-    /// prior decoder accepts); `2` streams may also carry sub-page
-    /// frames. Decoders here accept both.
-    pub version: u16,
 }
 
 /// One shipped page: its index, its 4 KiB image, and a checksum binding
@@ -228,21 +228,6 @@ pub struct PageFrame {
     pub checksum: u64,
 }
 
-/// Reads a little-endian `u64` at `off`, failing with
-/// [`SnapError::Malformed`] instead of panicking on short input —
-/// network bytes are untrusted.
-fn read_u64(buf: &[u8], off: usize) -> Result<u64, SnapError> {
-    let end = off.checked_add(8).ok_or(SnapError::Malformed)?;
-    let bytes = buf.get(off..end).ok_or(SnapError::Malformed)?;
-    let mut v = [0u8; 8];
-    v.copy_from_slice(bytes);
-    Ok(u64::from_le_bytes(v))
-}
-
-fn write_u64(buf: &mut [u8], off: usize, v: u64) {
-    buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
-}
-
 impl StreamHeader {
     /// Wire size of this header: the fixed part, the object name, and
     /// one `u64` per cut epoch when a cut rides along.
@@ -256,36 +241,24 @@ impl StreamHeader {
     /// (`cut_len = 0` means no cut) followed by the epoch vector after
     /// the name bytes; the checksum binds all of it.
     pub fn encode(&self) -> Vec<u8> {
-        let mut head = [0u8; HEADER_FIXED];
-        let magic = if self.version >= 2 {
-            STREAM_MAGIC_V2
-        } else {
-            STREAM_MAGIC
-        };
-        write_u64(&mut head, 0, magic);
-        write_u64(&mut head, 8, self.object.len() as u64);
-        write_u64(&mut head, 16, u64::from(self.base_epoch.is_some()));
-        write_u64(&mut head, 24, self.base_epoch.unwrap_or(0));
-        write_u64(&mut head, 32, self.target_epoch);
-        write_u64(&mut head, 40, self.len_pages);
-        write_u64(&mut head, 48, self.frame_count);
-        write_u64(&mut head, 56, self.cut.as_ref().map_or(0, |c| c.seq));
-        write_u64(
-            &mut head,
-            64,
-            self.cut.as_ref().map_or(0, |c| c.epochs.len() as u64),
-        );
-        let mut tail = self.object.as_bytes().to_vec();
-        if let Some(cut) = &self.cut {
-            for e in &cut.epochs {
-                tail.extend_from_slice(&e.to_le_bytes());
-            }
-        }
-        let sum = fnv1a_extend(fnv1a(&head[0..72]), &tail);
-        write_u64(&mut head, 72, sum);
+        let cut = self.cut.as_ref();
         let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&head);
-        out.extend_from_slice(&tail);
+        put_u64(&mut out, STREAM_MAGIC);
+        put_u64(&mut out, self.object.len() as u64);
+        put_u64(&mut out, u64::from(self.base_epoch.is_some()));
+        put_u64(&mut out, self.base_epoch.unwrap_or(0));
+        put_u64(&mut out, self.target_epoch);
+        put_u64(&mut out, self.len_pages);
+        put_u64(&mut out, self.frame_count);
+        put_u64(&mut out, cut.map_or(0, |c| c.seq));
+        put_u64(&mut out, cut.map_or(0, |c| c.epochs.len() as u64));
+        put_u64(&mut out, 0); // the checksum, set below
+        out.extend_from_slice(self.object.as_bytes());
+        for &e in cut.map_or(&[][..], |c| &c.epochs) {
+            put_u64(&mut out, e);
+        }
+        let sum = fnv1a_extend(fnv1a(&out[..72]), &out[HEADER_FIXED..]);
+        set_u64(&mut out, 72, sum);
         out
     }
 
@@ -297,57 +270,55 @@ impl StreamHeader {
     /// [`SnapError::Malformed`] for truncation, a bad magic, or a
     /// checksum that does not cover the bytes.
     pub fn decode(bytes: &[u8]) -> Result<(StreamHeader, usize), SnapError> {
-        let version = match read_u64(bytes, 0)? {
-            STREAM_MAGIC => 1,
-            STREAM_MAGIC_V2 => 2,
-            _ => return Err(SnapError::Malformed),
-        };
-        let name_len = read_u64(bytes, 8)? as usize;
-        let cut_len = read_u64(bytes, 64)?;
+        let mut r = Reader::new(bytes);
+        if r.u64()? != STREAM_MAGIC {
+            return Err(SnapError::Malformed);
+        }
+        let name_len = r.u64()? as usize;
+        let has_base = r.u64()? != 0;
+        let base_epoch = r.u64()?;
+        let target_epoch = r.u64()?;
+        let len_pages = r.u64()?;
+        let frame_count = r.u64()?;
+        let cut_seq = r.u64()?;
+        let cut_len = r.u64()?;
+        let sum = r.u64()?;
         if cut_len > MAX_CUT_EPOCHS {
             return Err(SnapError::Malformed);
         }
-        let name_end = HEADER_FIXED
-            .checked_add(name_len)
-            .ok_or(SnapError::Malformed)?;
-        let total = name_end
-            .checked_add(cut_len as usize * 8)
-            .ok_or(SnapError::Malformed)?;
-        let name_bytes = bytes
-            .get(HEADER_FIXED..name_end)
-            .ok_or(SnapError::Malformed)?;
-        let tail = bytes.get(HEADER_FIXED..total).ok_or(SnapError::Malformed)?;
-        let fixed = bytes.get(0..72).ok_or(SnapError::Malformed)?;
-        if fnv1a_extend(fnv1a(fixed), tail) != read_u64(bytes, 72)? {
+        let name = r.take(name_len)?;
+        let epochs = (0..cut_len)
+            .map(|_| r.u64())
+            .collect::<Result<Vec<_>, _>>()?;
+        let total = r.pos();
+        if fnv1a_extend(fnv1a(&bytes[..72]), &bytes[HEADER_FIXED..total]) != sum {
             return Err(SnapError::Malformed);
         }
-        let cut = if cut_len == 0 {
-            None
-        } else {
-            let epochs = (0..cut_len)
-                .map(|i| read_u64(bytes, name_end + i as usize * 8))
-                .collect::<Result<Vec<_>, _>>()?;
-            Some(VectorCut {
-                seq: read_u64(bytes, 56)?,
-                epochs,
-            })
-        };
         let header = StreamHeader {
-            object: String::from_utf8(name_bytes.to_vec()).map_err(|_| SnapError::Malformed)?,
-            base_epoch: (read_u64(bytes, 16)? != 0)
-                .then(|| read_u64(bytes, 24))
-                .transpose()?,
-            target_epoch: read_u64(bytes, 32)?,
-            len_pages: read_u64(bytes, 40)?,
-            frame_count: read_u64(bytes, 48)?,
-            cut,
-            version,
+            object: String::from_utf8(name.to_vec()).map_err(|_| SnapError::Malformed)?,
+            base_epoch: has_base.then_some(base_epoch),
+            target_epoch,
+            len_pages,
+            frame_count,
+            cut: (cut_len != 0).then_some(VectorCut {
+                seq: cut_seq,
+                epochs,
+            }),
         };
         Ok((header, total))
     }
 }
 
 impl PageFrame {
+    fn new(seq: u64, page: u64, data: &[u8]) -> Self {
+        PageFrame {
+            seq,
+            page,
+            data: data.to_vec(),
+            checksum: Self::compute_checksum(seq, page, data),
+        }
+    }
+
     fn compute_checksum(seq: u64, page: u64, data: &[u8]) -> u64 {
         let mut sum = fnv1a(&seq.to_le_bytes());
         sum = fnv1a_extend(sum, &page.to_le_bytes());
@@ -372,14 +343,11 @@ impl PageFrame {
     /// Panics if `data` is not [`BLOCK_SIZE`] bytes (frames built by
     /// this crate always are).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(FRAME_LEN);
-        let mut fh = [0u8; 32];
-        write_u64(&mut fh, 0, FRAME_MAGIC);
-        write_u64(&mut fh, 8, self.seq);
-        write_u64(&mut fh, 16, self.page);
-        write_u64(&mut fh, 24, self.checksum);
-        out.extend_from_slice(&fh);
         assert_eq!(self.data.len(), BLOCK_SIZE, "page frames carry one block");
+        let mut out = Vec::with_capacity(FRAME_LEN);
+        for v in [FRAME_MAGIC, self.seq, self.page, self.checksum] {
+            put_u64(&mut out, v);
+        }
         out.extend_from_slice(&self.data);
         out
     }
@@ -394,15 +362,15 @@ impl PageFrame {
     ///
     /// [`SnapError::Malformed`] for truncation or a bad magic.
     pub fn decode(bytes: &[u8]) -> Result<(PageFrame, usize), SnapError> {
-        if read_u64(bytes, 0)? != FRAME_MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.u64()? != FRAME_MAGIC {
             return Err(SnapError::Malformed);
         }
-        let data = bytes.get(32..FRAME_LEN).ok_or(SnapError::Malformed)?;
         let frame = PageFrame {
-            seq: read_u64(bytes, 8)?,
-            page: read_u64(bytes, 16)?,
-            checksum: read_u64(bytes, 24)?,
-            data: data.to_vec(),
+            seq: r.u64()?,
+            page: r.u64()?,
+            checksum: r.u64()?,
+            data: r.take(BLOCK_SIZE)?.to_vec(),
         };
         Ok((frame, FRAME_LEN))
     }
@@ -540,20 +508,18 @@ impl SubPageFrame {
     /// Serializes the frame — one datagram's worth of stream.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        let mut fh = [0u8; SUB_FIXED];
-        write_u64(&mut fh, 0, SUB_FRAME_MAGIC);
-        write_u64(&mut fh, 8, self.seq);
-        write_u64(&mut fh, 16, self.page);
-        write_u64(&mut fh, 24, self.page_digest);
-        write_u64(&mut fh, 32, self.checksum);
-        fh[40..42].copy_from_slice(&(self.runs.len() as u16).to_le_bytes());
-        fh[42..44].copy_from_slice(&self.method.to_le_bytes());
-        fh[44..48].copy_from_slice(&self.raw_len.to_le_bytes());
-        fh[48..52].copy_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&fh);
-        for (off, len) in &self.runs {
-            out.extend_from_slice(&off.to_le_bytes());
-            out.extend_from_slice(&len.to_le_bytes());
+        put_u64(&mut out, SUB_FRAME_MAGIC);
+        put_u64(&mut out, self.seq);
+        put_u64(&mut out, self.page);
+        put_u64(&mut out, self.page_digest);
+        put_u64(&mut out, self.checksum);
+        put_u16(&mut out, self.runs.len() as u16);
+        put_u16(&mut out, self.method);
+        put_u32(&mut out, self.raw_len);
+        put_u32(&mut out, self.payload.len() as u32);
+        for &(off, len) in &self.runs {
+            put_u16(&mut out, off);
+            put_u16(&mut out, len);
         }
         out.extend_from_slice(&self.payload);
         out
@@ -569,51 +535,41 @@ impl SubPageFrame {
     /// [`SnapError::Malformed`] for truncation, a bad magic, or lying
     /// run/payload counts.
     pub fn decode(bytes: &[u8]) -> Result<(SubPageFrame, usize), SnapError> {
-        if read_u64(bytes, 0)? != SUB_FRAME_MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.u64()? != SUB_FRAME_MAGIC {
             return Err(SnapError::Malformed);
         }
-        let fixed = bytes.get(..SUB_FIXED).ok_or(SnapError::Malformed)?;
-        let run_count = u16::from_le_bytes([fixed[40], fixed[41]]) as usize;
-        let method = u16::from_le_bytes([fixed[42], fixed[43]]);
-        let raw_len = u32::from_le_bytes([fixed[44], fixed[45], fixed[46], fixed[47]]);
-        let payload_len = u32::from_le_bytes([fixed[48], fixed[49], fixed[50], fixed[51]]) as usize;
+        let (seq, page, page_digest, checksum) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+        let run_count = r.u16()? as usize;
+        let method = r.u16()?;
+        let raw_len = r.u32()?;
+        let payload_len = r.u32()? as usize;
         if run_count > MAX_SUB_RUNS || payload_len > BLOCK_SIZE || raw_len as usize > BLOCK_SIZE {
             return Err(SnapError::Malformed);
         }
-        let runs_end = SUB_FIXED + run_count * 4;
-        let total = runs_end + payload_len;
-        let run_bytes = bytes.get(SUB_FIXED..runs_end).ok_or(SnapError::Malformed)?;
-        let payload = bytes.get(runs_end..total).ok_or(SnapError::Malformed)?;
-        let runs = run_bytes
-            .chunks_exact(4)
-            .map(|c| {
-                (
-                    u16::from_le_bytes([c[0], c[1]]),
-                    u16::from_le_bytes([c[2], c[3]]),
-                )
-            })
-            .collect();
+        let runs = (0..run_count)
+            .map(|_| Ok((r.u16()?, r.u16()?)))
+            .collect::<Result<_, Truncated>>()?;
         let frame = SubPageFrame {
-            seq: read_u64(bytes, 8)?,
-            page: read_u64(bytes, 16)?,
-            page_digest: read_u64(bytes, 24)?,
-            checksum: read_u64(bytes, 32)?,
+            seq,
+            page,
+            page_digest,
+            checksum,
             runs,
             method,
             raw_len,
-            payload: payload.to_vec(),
+            payload: r.take(payload_len)?.to_vec(),
         };
-        Ok((frame, total))
+        Ok((frame, r.pos()))
     }
 }
 
-/// One stream frame: a full page image (the only kind version-1 streams
-/// carry) or a sub-page run delta. The wire forms are distinguished by
-/// magic, so a mixed stream decodes frame by frame
-/// and a v1 byte stream decodes as all-`Full`.
+/// One stream frame: a full page image or a sub-page run delta. The wire
+/// forms are distinguished by magic, so a mixed stream decodes frame by
+/// frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
-    /// A full 4 KiB page image (version-1 compatible).
+    /// A full 4 KiB page image.
     Full(PageFrame),
     /// A sub-page byte-range delta.
     Sub(SubPageFrame),
@@ -675,7 +631,7 @@ impl Frame {
     ///
     /// [`SnapError::Malformed`] for truncation or an unknown magic.
     pub fn decode(bytes: &[u8]) -> Result<(Frame, usize), SnapError> {
-        match read_u64(bytes, 0)? {
+        match Reader::new(bytes).u64()? {
             FRAME_MAGIC => PageFrame::decode(bytes).map(|(f, n)| (Frame::Full(f), n)),
             SUB_FRAME_MAGIC => SubPageFrame::decode(bytes).map(|(f, n)| (Frame::Sub(f), n)),
             _ => Err(SnapError::Malformed),
@@ -691,13 +647,13 @@ impl StreamTrailer {
 
     /// Serializes the trailer (checksummed).
     pub fn encode(&self) -> Vec<u8> {
-        let mut t = [0u8; TRAILER_LEN];
-        write_u64(&mut t, 0, TRAILER_MAGIC);
-        write_u64(&mut t, 8, self.frames);
-        write_u64(&mut t, 16, self.stream_sum);
-        let sum = fnv1a(&t[0..24]);
-        write_u64(&mut t, 24, sum);
-        t.to_vec()
+        let mut t = Vec::with_capacity(TRAILER_LEN);
+        for v in [TRAILER_MAGIC, self.frames, self.stream_sum] {
+            put_u64(&mut t, v);
+        }
+        let sum = fnv1a(&t);
+        put_u64(&mut t, sum);
+        t
     }
 
     /// Parses a trailer from the front of `bytes`, returning it and the
@@ -708,20 +664,18 @@ impl StreamTrailer {
     /// [`SnapError::Malformed`] for truncation, a bad magic, or a
     /// self-checksum mismatch.
     pub fn decode(bytes: &[u8]) -> Result<(StreamTrailer, usize), SnapError> {
-        if read_u64(bytes, 0)? != TRAILER_MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.u64()? != TRAILER_MAGIC {
             return Err(SnapError::Malformed);
         }
-        let fixed = bytes.get(0..24).ok_or(SnapError::Malformed)?;
-        if fnv1a(fixed) != read_u64(bytes, 24)? {
+        let trailer = StreamTrailer {
+            frames: r.u64()?,
+            stream_sum: r.u64()?,
+        };
+        if fnv1a(&bytes[..24]) != r.u64()? {
             return Err(SnapError::Malformed);
         }
-        Ok((
-            StreamTrailer {
-                frames: read_u64(bytes, 8)?,
-                stream_sum: read_u64(bytes, 16)?,
-            },
-            TRAILER_LEN,
-        ))
+        Ok((trailer, TRAILER_LEN))
     }
 }
 
@@ -785,7 +739,8 @@ pub struct WireSavings {
 impl DeltaStream {
     /// Builds the stream shipping `target` (a retained snapshot on the
     /// primary) as a delta against `base` (another retained snapshot of
-    /// the same object), or as a full image when `base` is `None`.
+    /// the same object), or as a full image when `base` is `None`. Every
+    /// changed page travels as a full-page [`PageFrame`].
     ///
     /// # Errors
     ///
@@ -797,6 +752,134 @@ impl DeltaStream {
         store: &mut ObjectStore,
         base: Option<&str>,
         target: &str,
+    ) -> Result<DeltaStream, SnapError> {
+        Self::assemble(vt, disk, store, base, target, |_, _, _, seq, page, data| {
+            Ok(Frame::Full(PageFrame::new(seq, page, data)))
+        })
+    }
+
+    /// Builds a stream whose wire bytes are proportional to
+    /// the bytes that actually changed: per diffed page it emits
+    /// exactly one of a partial [`SubPageFrame`] covering only the
+    /// changed 64-byte lines, a compressed whole-page [`SubPageFrame`],
+    /// or a full [`PageFrame`] when the content is incompressible.
+    ///
+    /// Changed lines come from `extents` (the tracker's per-page dirty
+    /// line bitmaps — a conservative superset from fine-grain write
+    /// tracking) when provided, else from an exact 64-byte-line diff
+    /// against the retained `base` snapshot. Pages whose changed lines
+    /// exceed ~50% of the page — or whose lines cannot be established —
+    /// fall back to whole-page treatment.
+    ///
+    /// # Errors
+    ///
+    /// As [`DeltaStream::build`].
+    pub fn build_v2(
+        vt: &mut Vt,
+        disk: &mut Disk,
+        store: &mut ObjectStore,
+        base: Option<&str>,
+        target: &str,
+        extents: Option<&BTreeMap<u64, u64>>,
+    ) -> Result<DeltaStream, SnapError> {
+        let base_len = match base {
+            None => 0,
+            Some(name) => {
+                store
+                    .snapshot_lookup(name)
+                    .ok_or(StoreError::SnapshotNotFound)?
+                    .len_pages
+            }
+        };
+        let mut bbuf = vec![0u8; BLOCK_SIZE];
+        Self::assemble(
+            vt,
+            disk,
+            store,
+            base,
+            target,
+            |vt, disk, store, seq, page, tbuf| {
+                let page_digest = fnv1a(tbuf);
+                // Changed-line bitmap: tracker hints when available, exact
+                // diff against the retained base otherwise. Partial frames
+                // need the receiver to hold the base content of this page,
+                // so they are only emitted for pages inside the base image.
+                let in_base = base.is_some() && page < base_len;
+                let lines: Option<u64> = match extents.and_then(|m| m.get(&page).copied()) {
+                    // A zero hint on a structurally-changed page means the
+                    // tracker lost the lines — treat as unknown.
+                    Some(0) | None => {
+                        if in_base {
+                            store.read_page_at(
+                                vt,
+                                disk,
+                                base.unwrap_or_default(),
+                                page,
+                                &mut bbuf,
+                            )?;
+                            let mut bits = 0u64;
+                            for line in 0..LINES_PER_PAGE {
+                                let span = line * LINE_SIZE..(line + 1) * LINE_SIZE;
+                                if tbuf[span.clone()] != bbuf[span] {
+                                    bits |= 1 << line;
+                                }
+                            }
+                            Some(bits)
+                        } else {
+                            None
+                        }
+                    }
+                    Some(bits) => in_base.then_some(bits),
+                };
+                Ok(match lines {
+                    Some(bits) if bits.count_ones() <= SUBPAGE_CUTOFF => {
+                        // An exact diff of 0 lines is a provably content-
+                        // identical page (epoch-only change): empty runs.
+                        let runs = line_runs(bits);
+                        let mut raw = Vec::with_capacity(bits.count_ones() as usize * LINE_SIZE);
+                        for (off, len) in &runs {
+                            raw.extend_from_slice(&tbuf[*off as usize..(*off + *len) as usize]);
+                        }
+                        Frame::Sub(SubPageFrame::new(seq, page, page_digest, runs, raw))
+                    }
+                    _ => {
+                        // Whole-page: compressed sub-page frame when that
+                        // pays, full frame when incompressible.
+                        let whole = SubPageFrame::new(
+                            seq,
+                            page,
+                            page_digest,
+                            vec![(0, BLOCK_SIZE as u16)],
+                            tbuf.to_vec(),
+                        );
+                        if whole.encoded_len() < FRAME_LEN {
+                            Frame::Sub(whole)
+                        } else {
+                            Frame::Full(PageFrame::new(seq, page, tbuf))
+                        }
+                    }
+                })
+            },
+        )
+    }
+
+    /// The shared body of both builders: diffs `target` against `base`
+    /// and turns each changed page into one frame with
+    /// `frame(vt, disk, store, seq, page, target_image)`.
+    fn assemble(
+        vt: &mut Vt,
+        disk: &mut Disk,
+        store: &mut ObjectStore,
+        base: Option<&str>,
+        target: &str,
+        mut frame: impl FnMut(
+            &mut Vt,
+            &mut Disk,
+            &mut ObjectStore,
+            u64,
+            u64,
+            &[u8],
+        ) -> Result<Frame, SnapError>,
     ) -> Result<DeltaStream, SnapError> {
         let entry = store
             .snapshot_lookup(target)
@@ -819,12 +902,7 @@ impl DeltaStream {
         let mut buf = vec![0u8; BLOCK_SIZE];
         for (seq, page) in pages.into_iter().enumerate() {
             store.read_page_at(vt, disk, target, page, &mut buf)?;
-            frames.push(Frame::Full(PageFrame {
-                seq: seq as u64,
-                page,
-                data: buf.clone(),
-                checksum: PageFrame::compute_checksum(seq as u64, page, &buf),
-            }));
+            frames.push(frame(vt, disk, store, seq as u64, page, &buf)?);
         }
         let trailer = StreamTrailer {
             frames: frames.len() as u64,
@@ -840,134 +918,6 @@ impl DeltaStream {
                 // A sharded primary names its newest durable vector cut
                 // so the consumer can promote only complete cuts.
                 cut: store.last_cut().cloned(),
-                version: 1,
-            },
-            frames,
-            trailer,
-        })
-    }
-
-    /// Builds a version-2 stream whose wire bytes are proportional to
-    /// the bytes that actually changed: per diffed page it emits
-    /// exactly one of a partial [`SubPageFrame`] covering only the
-    /// changed 64-byte lines, a compressed whole-page [`SubPageFrame`],
-    /// or a legacy [`PageFrame`] when the content is incompressible.
-    ///
-    /// Changed lines come from `extents` (the tracker's per-page dirty
-    /// line bitmaps — a conservative superset from fine-grain write
-    /// tracking) when provided, else from an exact 64-byte-line diff
-    /// against the retained `base` snapshot. Pages whose changed lines
-    /// exceed ~50% of the page — or whose lines cannot be established —
-    /// fall back to whole-page treatment.
-    ///
-    /// # Errors
-    ///
-    /// As [`DeltaStream::build`].
-    pub fn build_v2(
-        vt: &mut Vt,
-        disk: &mut Disk,
-        store: &mut ObjectStore,
-        base: Option<&str>,
-        target: &str,
-        extents: Option<&BTreeMap<u64, u64>>,
-    ) -> Result<DeltaStream, SnapError> {
-        let entry = store
-            .snapshot_lookup(target)
-            .ok_or(StoreError::SnapshotNotFound)?
-            .clone();
-        let (base_epoch, base_len) = match base {
-            None => (None, 0),
-            Some(name) => {
-                let b = store
-                    .snapshot_lookup(name)
-                    .ok_or(StoreError::SnapshotNotFound)?;
-                (Some(b.epoch), b.len_pages)
-            }
-        };
-        let pages = store.snapshot_diff(vt, disk, base, target)?;
-        let object = store
-            .object_name(entry.object)
-            .ok_or(StoreError::NotFound)?;
-        let mut frames = Vec::with_capacity(pages.len());
-        let mut tbuf = vec![0u8; BLOCK_SIZE];
-        let mut bbuf = vec![0u8; BLOCK_SIZE];
-        for (seq, page) in pages.into_iter().enumerate() {
-            let seq = seq as u64;
-            store.read_page_at(vt, disk, target, page, &mut tbuf)?;
-            let page_digest = fnv1a(&tbuf);
-            // Changed-line bitmap: tracker hints when available, exact
-            // diff against the retained base otherwise. Partial frames
-            // need the receiver to hold the base content of this page,
-            // so they are only emitted for pages inside the base image.
-            let in_base = base.is_some() && page < base_len;
-            let lines: Option<u64> = match extents.and_then(|m| m.get(&page).copied()) {
-                // A zero hint on a structurally-changed page means the
-                // tracker lost the lines — treat as unknown.
-                Some(0) | None => {
-                    if in_base {
-                        store.read_page_at(vt, disk, base.unwrap_or_default(), page, &mut bbuf)?;
-                        let mut bits = 0u64;
-                        for line in 0..LINES_PER_PAGE {
-                            let span = line * LINE_SIZE..(line + 1) * LINE_SIZE;
-                            if tbuf[span.clone()] != bbuf[span] {
-                                bits |= 1 << line;
-                            }
-                        }
-                        Some(bits)
-                    } else {
-                        None
-                    }
-                }
-                Some(bits) => in_base.then_some(bits),
-            };
-            let frame = match lines {
-                Some(bits) if bits.count_ones() <= SUBPAGE_CUTOFF => {
-                    // An exact diff of 0 lines is a provably content-
-                    // identical page (epoch-only change): empty runs.
-                    let runs = line_runs(bits);
-                    let mut raw = Vec::with_capacity(bits.count_ones() as usize * LINE_SIZE);
-                    for (off, len) in &runs {
-                        raw.extend_from_slice(&tbuf[*off as usize..(*off + *len) as usize]);
-                    }
-                    Frame::Sub(SubPageFrame::new(seq, page, page_digest, runs, raw))
-                }
-                _ => {
-                    // Whole-page: compressed sub-page frame when that
-                    // pays, legacy full frame when incompressible.
-                    let whole = SubPageFrame::new(
-                        seq,
-                        page,
-                        page_digest,
-                        vec![(0, BLOCK_SIZE as u16)],
-                        tbuf.clone(),
-                    );
-                    if whole.encoded_len() < FRAME_LEN {
-                        Frame::Sub(whole)
-                    } else {
-                        Frame::Full(PageFrame {
-                            seq,
-                            page,
-                            data: tbuf.clone(),
-                            checksum: PageFrame::compute_checksum(seq, page, &tbuf),
-                        })
-                    }
-                }
-            };
-            frames.push(frame);
-        }
-        let trailer = StreamTrailer {
-            frames: frames.len() as u64,
-            stream_sum: chain_sum(&frames),
-        };
-        Ok(DeltaStream {
-            header: StreamHeader {
-                object,
-                base_epoch,
-                target_epoch: entry.epoch,
-                len_pages: entry.len_pages,
-                frame_count: frames.len() as u64,
-                cut: store.last_cut().cloned(),
-                version: 2,
             },
             frames,
             trailer,
@@ -1345,6 +1295,13 @@ mod tests {
         (disk, store, vt, obj)
     }
 
+    /// Pins a `build` stream's wire bytes except its header magic and
+    /// the header checksum binding it: the only bytes that changed when
+    /// the two header formats merged into one.
+    fn digest_past_magic(wire: &[u8]) -> u64 {
+        fnv1a_extend(fnv1a(&wire[8..72]), &wire[HEADER_FIXED..])
+    }
+
     #[test]
     fn stream_round_trips_through_wire_form() {
         let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots();
@@ -1356,6 +1313,7 @@ mod tests {
         );
         let wire = stream.encode();
         assert_eq!(wire.len(), stream.encoded_len());
+        assert_eq!(digest_past_magic(&wire), 0xf36daab1de8c15e5);
         assert_eq!(DeltaStream::decode(&wire).unwrap(), stream);
     }
 
@@ -1403,7 +1361,7 @@ mod tests {
         );
         // A corrupted frame is rejected; the retransmitted original lands.
         let Frame::Full(pf0) = &full.frames[0] else {
-            panic!("v1 streams carry full frames");
+            panic!("build() streams carry full frames");
         };
         let mut torn = pf0.clone();
         torn.data[9] ^= 1;
@@ -1533,6 +1491,7 @@ mod tests {
         }
         wire.extend_from_slice(&stream.trailer.encode());
         assert_eq!(wire, stream.encode());
+        assert_eq!(digest_past_magic(&wire), 0xf36daab1de8c15e5);
 
         let (h, used) = StreamHeader::decode(&wire).unwrap();
         assert_eq!(h, stream.header);
@@ -1568,7 +1527,7 @@ mod tests {
         // A header lying about its frame count must not over-allocate
         // or panic.
         let mut lying = wire.clone();
-        lying[48..56].copy_from_slice(&u64::MAX.to_le_bytes());
+        set_u64(&mut lying, 48, u64::MAX);
         assert!(DeltaStream::decode(&lying).is_err());
     }
 
@@ -1598,7 +1557,7 @@ mod tests {
         // A header claiming an absurd epoch count is malformed, not an
         // allocation.
         let mut lying = wire.clone();
-        lying[64..72].copy_from_slice(&u64::MAX.to_le_bytes());
+        set_u64(&mut lying, 64, u64::MAX);
         assert_eq!(DeltaStream::decode(&lying), Err(SnapError::Malformed));
     }
 
@@ -1754,7 +1713,8 @@ mod tests {
         let full = DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b").unwrap();
         let sub =
             DeltaStream::build_v2(&mut vt, &mut disk, &mut store, Some("a"), "b", None).unwrap();
-        assert_eq!(sub.header.version, 2);
+        // Pinned wire bytes: the stream format is unchanged across releases.
+        assert_eq!(fnv1a(&sub.encode()), 0xd3fe1f47e74eed7d);
         assert_eq!(sub.frames.len(), full.frames.len());
         // Page 2 changed one 64-byte line, page 5 two lines: every frame
         // is a partial sub-page frame and the wire shrinks by >10×.
@@ -1959,48 +1919,9 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_streams_still_decode_and_apply() {
-        // Cross-version: build() emits the version-1 wire form
-        // byte-identically to prior releases (v1 magic, full-page
-        // frames), and the v2-aware decoder accepts it.
-        let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots();
-        let stream = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "b").unwrap();
-        assert_eq!(stream.header.version, 1);
-        let wire = stream.encode();
-        assert_eq!(wire[0..8], STREAM_MAGIC.to_le_bytes());
-        assert_eq!(
-            read_u64(&wire, stream.header.encoded_len()).unwrap(),
-            FRAME_MAGIC,
-            "v1 frames keep the legacy frame magic"
-        );
-        let decoded = DeltaStream::decode(&wire).unwrap();
-        assert!(decoded.frames.iter().all(|f| matches!(f, Frame::Full(_))));
-        let mut rdisk = Disk::new(DiskConfig::paper());
-        let mut replica = ObjectStore::format(&mut rdisk);
-        let mut session =
-            ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &decoded.header).unwrap();
-        for f in &decoded.frames {
-            session.feed(f).unwrap();
-        }
-        let token = session
-            .finish(&mut vt, &mut rdisk, &mut replica, &decoded.trailer)
-            .unwrap();
-        ObjectStore::wait(&mut vt, token);
-        assert_replica_matches(
-            &mut vt,
-            &mut disk,
-            &mut store,
-            "b",
-            &mut rdisk,
-            &mut replica,
-            5,
-        );
-    }
-
-    #[test]
     fn subpage_wire_forms_survive_adversarial_bytes() {
-        // The v2 decoders face the same untrusted network as v1: every
-        // truncation and bit-flip of a sub-page stream fails cleanly.
+        // Sub-page frames face the same untrusted network as full ones:
+        // every truncation and bit-flip of a sub-page stream fails cleanly.
         let (mut disk, mut store, mut vt, obj) = primary_with_two_snapshots();
         patch_page(&mut vt, &mut disk, &mut store, obj, 1, &[(130, 0x5C)]);
         store
@@ -2031,17 +1952,15 @@ mod tests {
             .read_page_at(&mut vt, &mut disk, "s2", 1, &mut page1)
             .unwrap();
         let (seq, page, digest) = (0u64, 1u64, fnv1a(&page1));
-        let mut old_ref = [0u8; 40];
-        write_u64(&mut old_ref, 0, 0x4d534e_41505246);
-        write_u64(&mut old_ref, 8, seq);
-        write_u64(&mut old_ref, 16, page);
-        write_u64(&mut old_ref, 24, digest);
         let sum = [seq, page, digest]
             .iter()
             .fold(msnap_store::FNV_OFFSET, |h, v| {
                 fnv1a_extend(h, &v.to_le_bytes())
             });
-        write_u64(&mut old_ref, 32, sum);
+        let mut old_ref = Vec::new();
+        for v in [0x4d534e_41505246, seq, page, digest, sum] {
+            put_u64(&mut old_ref, v);
+        }
         assert_eq!(Frame::decode(&old_ref), Err(SnapError::Malformed));
         let mut spliced = stream.header.encode();
         spliced.extend_from_slice(&old_ref);
@@ -2051,6 +1970,17 @@ mod tests {
         };
         spliced.extend_from_slice(&trailer.encode());
         assert_eq!(DeltaStream::decode(&spliced), Err(SnapError::Malformed));
+
+        // A header opening with the retired full-page-only format's magic
+        // ("MSN APDS"), its checksum re-sealed, is not a stream header.
+        let full = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "s2").unwrap();
+        let mut old_v1 = full.encode();
+        set_u64(&mut old_v1, 0, 0x4d534e_41504453);
+        let tail = &old_v1[HEADER_FIXED..full.header.encoded_len()];
+        let sum = fnv1a_extend(fnv1a(&old_v1[..72]), tail);
+        set_u64(&mut old_v1, 72, sum);
+        assert_eq!(StreamHeader::decode(&old_v1), Err(SnapError::Malformed));
+        assert_eq!(DeltaStream::decode(&old_v1), Err(SnapError::Malformed));
     }
 
     #[test]

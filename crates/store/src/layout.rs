@@ -1,6 +1,9 @@
 //! On-disk layout: superblock, directory entries, root and delta records.
 
+use msnap_disk::codec::{get_u32, get_u64, set_u32, set_u64, Reader, Truncated};
 use msnap_disk::{fnv1a, BLOCK_SIZE};
+
+use crate::StoreError;
 
 /// A μCheckpoint epoch: each object's monotonically increasing commit
 /// counter (the paper's `epoch_t`).
@@ -131,29 +134,28 @@ impl SuperV3 {
     /// Serializes into a block image.
     pub fn to_block(&self) -> [u8; BLOCK_SIZE] {
         let mut block = [0u8; BLOCK_SIZE];
-        let mut w = |off: usize, v: u64| block[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        w(0, SUPER_MAGIC_V3);
-        w(8, self.shard_count);
-        w(16, self.extent_blocks);
+        set_u64(&mut block, 0, SUPER_MAGIC_V3);
+        set_u64(&mut block, 8, self.shard_count);
+        set_u64(&mut block, 16, self.extent_blocks);
         let checksum = fnv1a(&block[0..24]);
-        block[24..32].copy_from_slice(&checksum.to_le_bytes());
+        set_u64(&mut block, 24, checksum);
         block
     }
 
     /// Parses and validates a superblock; `None` if the block is not one
     /// (an unformatted or foreign device) or is corrupt.
     pub fn from_block(block: &[u8]) -> Option<SuperV3> {
-        let r = |off: usize| u64::from_le_bytes(block[off..off + 8].try_into().unwrap());
-        if r(0) != SUPER_MAGIC_V3 || fnv1a(&block[0..24]) != r(24) {
+        if get_u64(block, 0) != SUPER_MAGIC_V3 || fnv1a(&block[0..24]) != get_u64(block, 24) {
             return None;
         }
-        let shard_count = r(8);
-        if shard_count == 0 || shard_count > MAX_SHARDS as u64 || r(16) == 0 {
+        let shard_count = get_u64(block, 8);
+        let extent_blocks = get_u64(block, 16);
+        if shard_count == 0 || shard_count > MAX_SHARDS as u64 || extent_blocks == 0 {
             return None;
         }
         Some(SuperV3 {
             shard_count,
-            extent_blocks: r(16),
+            extent_blocks,
         })
     }
 }
@@ -186,37 +188,34 @@ impl CutRecord {
     pub fn to_block(&self) -> [u8; BLOCK_SIZE] {
         assert!(self.epochs.len() <= MAX_SHARDS, "cut record overflow");
         let mut block = [0u8; BLOCK_SIZE];
-        let mut w = |off: usize, v: u64| block[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        w(0, CUT_MAGIC);
-        w(8, self.seq);
-        w(16, self.epochs.len() as u64);
+        set_u64(&mut block, 0, CUT_MAGIC);
+        set_u64(&mut block, 8, self.seq);
+        set_u64(&mut block, 16, self.epochs.len() as u64);
         for (i, e) in self.epochs.iter().enumerate() {
-            w(32 + i * 8, *e);
+            set_u64(&mut block, 32 + i * 8, *e);
         }
         let end = 32 + self.epochs.len() * 8;
         let checksum = fnv1a(&block[0..24]) ^ fnv1a(&block[32..end]);
-        block[24..32].copy_from_slice(&checksum.to_le_bytes());
+        set_u64(&mut block, 24, checksum);
         block
     }
 
     /// Parses and validates a cut-slot block; `None` if the slot is
     /// empty or torn.
     pub fn from_block(block: &[u8]) -> Option<CutRecord> {
-        let r = |off: usize| u64::from_le_bytes(block[off..off + 8].try_into().unwrap());
-        if r(0) != CUT_MAGIC {
+        let count = get_u64(block, 16);
+        if get_u64(block, 0) != CUT_MAGIC || count > MAX_SHARDS as u64 {
             return None;
         }
-        let count = r(16) as usize;
-        if count > MAX_SHARDS {
-            return None;
-        }
-        let end = 32 + count * 8;
-        if fnv1a(&block[0..24]) ^ fnv1a(&block[32..end]) != r(24) {
+        let end = 32 + count as usize * 8;
+        if fnv1a(&block[0..24]) ^ fnv1a(&block[32..end]) != get_u64(block, 24) {
             return None;
         }
         Some(CutRecord {
-            seq: r(8),
-            epochs: (0..count).map(|i| r(32 + i * 8)).collect(),
+            seq: get_u64(block, 8),
+            epochs: (0..count as usize)
+                .map(|i| get_u64(block, 32 + i * 8))
+                .collect(),
         })
     }
 }
@@ -310,35 +309,36 @@ impl RootRecord {
     /// Serializes the record into a zero-padded block image.
     pub fn to_block(&self) -> [u8; BLOCK_SIZE] {
         let mut block = [0u8; BLOCK_SIZE];
-        let mut w = |off: usize, v: u64| block[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        w(0, ROOT_MAGIC);
-        w(8, self.object.0 as u64);
-        w(16, self.epoch);
-        w(24, self.tree_root);
-        w(32, self.len_pages);
-        w(40, self.high_water);
-        w(48, self.root_digest as u64);
-        w(56, self.flush_seq);
+        set_u64(&mut block, 0, ROOT_MAGIC);
+        set_u64(&mut block, 8, self.object.0 as u64);
+        set_u64(&mut block, 16, self.epoch);
+        set_u64(&mut block, 24, self.tree_root);
+        set_u64(&mut block, 32, self.len_pages);
+        set_u64(&mut block, 40, self.high_water);
+        set_u64(&mut block, 48, self.root_digest as u64);
+        set_u64(&mut block, 56, self.flush_seq);
         let checksum = fnv1a(&block[0..64]);
-        block[64..72].copy_from_slice(&checksum.to_le_bytes());
+        set_u64(&mut block, 64, checksum);
         block
     }
 
     /// Parses and validates a root-slot block; `None` if the slot is
     /// empty, torn, of another format, or belongs to a different object.
     pub fn from_block(block: &[u8], expect: ObjectId) -> Option<RootRecord> {
-        let r = |off: usize| u64::from_le_bytes(block[off..off + 8].try_into().unwrap());
-        if r(0) != ROOT_MAGIC || fnv1a(&block[0..64]) != r(64) || r(8) != expect.0 as u64 {
+        if get_u64(block, 0) != ROOT_MAGIC
+            || fnv1a(&block[0..64]) != get_u64(block, 64)
+            || get_u64(block, 8) != expect.0 as u64
+        {
             return None;
         }
         Some(RootRecord {
             object: expect,
-            epoch: r(16),
-            tree_root: r(24),
-            len_pages: r(32),
-            high_water: r(40),
-            root_digest: r(48) as u32,
-            flush_seq: r(56),
+            epoch: get_u64(block, 16),
+            tree_root: get_u64(block, 24),
+            len_pages: get_u64(block, 32),
+            high_water: get_u64(block, 40),
+            root_digest: get_u64(block, 48) as u32,
+            flush_seq: get_u64(block, 56),
         })
     }
 }
@@ -374,45 +374,43 @@ impl DeltaRecord {
     pub fn to_block(&self) -> [u8; BLOCK_SIZE] {
         assert!(self.pairs.len() <= MAX_DELTA_PAIRS, "delta record overflow");
         let mut block = [0u8; BLOCK_SIZE];
-        let mut w = |off: usize, v: u64| block[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        w(0, DELTA_MAGIC);
-        w(8, self.object.0 as u64);
-        w(16, self.epoch);
-        w(24, self.len_pages);
-        w(32, self.pairs.len() as u64);
-        w(48, self.payload_sum);
+        set_u64(&mut block, 0, DELTA_MAGIC);
+        set_u64(&mut block, 8, self.object.0 as u64);
+        set_u64(&mut block, 16, self.epoch);
+        set_u64(&mut block, 24, self.len_pages);
+        set_u64(&mut block, 32, self.pairs.len() as u64);
+        set_u64(&mut block, 48, self.payload_sum);
         for (i, (page, data_block)) in self.pairs.iter().enumerate() {
-            w(64 + i * 16, *page);
-            w(64 + i * 16 + 8, *data_block);
+            set_u64(&mut block, 64 + i * 16, *page);
+            set_u64(&mut block, 64 + i * 16 + 8, *data_block);
         }
         let end = 64 + self.pairs.len() * 16;
         let checksum = fnv1a(&block[0..40]) ^ fnv1a(&block[48..end]);
-        block[40..48].copy_from_slice(&checksum.to_le_bytes());
+        set_u64(&mut block, 40, checksum);
         block
     }
 
     /// Parses and validates a delta-slot block.
     pub fn from_block(block: &[u8], expect: ObjectId) -> Option<DeltaRecord> {
-        let r = |off: usize| u64::from_le_bytes(block[off..off + 8].try_into().unwrap());
-        if r(0) != DELTA_MAGIC || r(8) != expect.0 as u64 {
+        let count = get_u64(block, 32);
+        if get_u64(block, 0) != DELTA_MAGIC
+            || get_u64(block, 8) != expect.0 as u64
+            || count > MAX_DELTA_PAIRS as u64
+        {
             return None;
         }
-        let count = r(32) as usize;
-        if count > MAX_DELTA_PAIRS {
+        let end = 64 + count as usize * 16;
+        if fnv1a(&block[0..40]) ^ fnv1a(&block[48..end]) != get_u64(block, 40) {
             return None;
         }
-        let end = 64 + count * 16;
-        if fnv1a(&block[0..40]) ^ fnv1a(&block[48..end]) != r(40) {
-            return None;
-        }
-        let pairs = (0..count)
-            .map(|i| (r(64 + i * 16), r(64 + i * 16 + 8)))
+        let pairs = (0..count as usize)
+            .map(|i| (get_u64(block, 64 + i * 16), get_u64(block, 64 + i * 16 + 8)))
             .collect();
         Some(DeltaRecord {
             object: expect,
-            epoch: r(16),
-            len_pages: r(24),
-            payload_sum: r(48),
+            epoch: get_u64(block, 16),
+            len_pages: get_u64(block, 24),
+            payload_sum: get_u64(block, 48),
             pairs,
         })
     }
@@ -475,73 +473,71 @@ impl BatchRecord {
         let end = Self::encoded_len(self.groups.iter().map(|g| g.pairs.len()));
         assert!(end <= BLOCK_SIZE, "batch record overflow");
         let mut block = [0u8; BLOCK_SIZE];
-        let mut w = |off: usize, v: u64| block[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        w(0, BATCH_MAGIC);
-        w(8, self.seq);
-        w(16, self.groups.len() as u64);
+        set_u64(&mut block, 0, BATCH_MAGIC);
+        set_u64(&mut block, 8, self.seq);
+        set_u64(&mut block, 16, self.groups.len() as u64);
         let mut off = BATCH_HEADER;
         for g in &self.groups {
-            w(off, g.object.0 as u64);
-            w(off + 8, g.epoch);
-            w(off + 16, g.len_pages);
-            w(off + 24, g.payload_sum);
-            w(off + 32, g.pairs.len() as u64);
+            set_u64(&mut block, off, g.object.0 as u64);
+            set_u64(&mut block, off + 8, g.epoch);
+            set_u64(&mut block, off + 16, g.len_pages);
+            set_u64(&mut block, off + 24, g.payload_sum);
+            set_u64(&mut block, off + 32, g.pairs.len() as u64);
             off += GROUP_HEADER;
             for (page, data_block) in &g.pairs {
-                w(off, *page);
-                w(off + 8, *data_block);
+                set_u64(&mut block, off, *page);
+                set_u64(&mut block, off + 8, *data_block);
                 off += 16;
             }
         }
         let checksum = fnv1a(&block[0..24]) ^ fnv1a(&block[BATCH_HEADER..end]);
-        block[24..32].copy_from_slice(&checksum.to_le_bytes());
+        set_u64(&mut block, 24, checksum);
         block
     }
 
     /// Parses and validates a batch-slot block; `None` if the slot is
     /// empty or torn.
     pub fn from_block(block: &[u8]) -> Option<BatchRecord> {
-        let r = |off: usize| u64::from_le_bytes(block[off..off + 8].try_into().unwrap());
-        if r(0) != BATCH_MAGIC {
-            return None;
-        }
-        let group_count = r(16) as usize;
+        let group_count = get_u64(block, 16);
         // A record holds at least one pair-less group header per group.
-        if BATCH_HEADER + group_count * GROUP_HEADER > BLOCK_SIZE {
+        if get_u64(block, 0) != BATCH_MAGIC
+            || group_count > ((BLOCK_SIZE - BATCH_HEADER) / GROUP_HEADER) as u64
+        {
             return None;
         }
-        let mut groups = Vec::with_capacity(group_count);
-        let mut off = BATCH_HEADER;
-        for _ in 0..group_count {
-            if off + GROUP_HEADER > BLOCK_SIZE {
-                return None;
-            }
-            let count = r(off + 32) as usize;
-            let pairs_end = off + GROUP_HEADER + count * 16;
-            if pairs_end > BLOCK_SIZE {
-                return None;
-            }
-            let pairs = (0..count)
-                .map(|i| {
-                    (
-                        r(off + GROUP_HEADER + i * 16),
-                        r(off + GROUP_HEADER + i * 16 + 8),
-                    )
-                })
-                .collect();
-            groups.push(BatchGroup {
-                object: ObjectId(r(off) as u32),
-                epoch: r(off + 8),
-                len_pages: r(off + 16),
-                payload_sum: r(off + 24),
-                pairs,
-            });
-            off = pairs_end;
-        }
-        if fnv1a(&block[0..24]) ^ fnv1a(&block[BATCH_HEADER..off]) != r(24) {
+        let mut r = Reader::new(&block[BATCH_HEADER..BLOCK_SIZE]);
+        let groups = (0..group_count)
+            .map(|_| Self::read_group(&mut r))
+            .collect::<Result<Vec<_>, _>>()
+            .ok()?;
+        let end = BATCH_HEADER + r.pos();
+        if fnv1a(&block[0..24]) ^ fnv1a(&block[BATCH_HEADER..end]) != get_u64(block, 24) {
             return None;
         }
-        Some(BatchRecord { seq: r(8), groups })
+        Some(BatchRecord {
+            seq: get_u64(block, 8),
+            groups,
+        })
+    }
+
+    /// Reads one group; a pair count the block cannot hold is
+    /// [`Truncated`].
+    fn read_group(r: &mut Reader) -> Result<BatchGroup, Truncated> {
+        let object = ObjectId(r.u64()? as u32);
+        let (epoch, len_pages, payload_sum, count) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+        if count > (r.rest().len() / 16) as u64 {
+            return Err(Truncated);
+        }
+        let pairs = (0..count)
+            .map(|_| Ok((r.u64()?, r.u64()?)))
+            .collect::<Result<_, _>>()?;
+        Ok(BatchGroup {
+            object,
+            epoch,
+            len_pages,
+            payload_sum,
+            pairs,
+        })
     }
 }
 
@@ -605,47 +601,39 @@ impl SnapCatalog {
             "snapshot catalog overflow"
         );
         let mut block = [0u8; BLOCK_SIZE];
-        let w = |block: &mut [u8; BLOCK_SIZE], off: usize, v: u64| {
-            block[off..off + 8].copy_from_slice(&v.to_le_bytes())
-        };
-        w(&mut block, 0, SNAP_MAGIC);
-        w(&mut block, 8, self.seq);
-        w(&mut block, 16, self.entries.len() as u64);
+        set_u64(&mut block, 0, SNAP_MAGIC);
+        set_u64(&mut block, 8, self.seq);
+        set_u64(&mut block, 16, self.entries.len() as u64);
         let mut off = SNAP_HEADER;
         for e in &self.entries {
             assert!(e.name.len() <= NAME_LEN, "snapshot name too long");
-            w(&mut block, off, e.object.0 as u64);
-            w(&mut block, off + 8, e.epoch);
-            w(&mut block, off + 16, e.tree_root);
-            w(&mut block, off + 24, e.len_pages);
+            set_u64(&mut block, off, e.object.0 as u64);
+            set_u64(&mut block, off + 8, e.epoch);
+            set_u64(&mut block, off + 16, e.tree_root);
+            set_u64(&mut block, off + 24, e.len_pages);
             block[off + 32] = e.name.len() as u8;
             block[off + 33..off + 33 + e.name.len()].copy_from_slice(e.name.as_bytes());
-            block[off + 121..off + 125].copy_from_slice(&e.root_digest.to_le_bytes());
+            set_u32(&mut block, off + 121, e.root_digest);
             off += SNAP_ENTRY_LEN;
         }
         let checksum = fnv1a(&block[0..24]) ^ fnv1a(&block[SNAP_HEADER..off]);
-        block[24..32].copy_from_slice(&checksum.to_le_bytes());
+        set_u64(&mut block, 24, checksum);
         block
     }
 
     /// Parses and validates a catalog-slot block; `None` if the slot is
     /// empty or torn.
     pub fn from_block(block: &[u8]) -> Option<SnapCatalog> {
-        let r = |off: usize| u64::from_le_bytes(block[off..off + 8].try_into().unwrap());
-        if r(0) != SNAP_MAGIC {
+        let count = get_u64(block, 16);
+        if get_u64(block, 0) != SNAP_MAGIC || count > MAX_SNAPSHOTS as u64 {
             return None;
         }
-        let count = r(16) as usize;
-        if count > MAX_SNAPSHOTS {
+        let end = SNAP_HEADER + count as usize * SNAP_ENTRY_LEN;
+        if fnv1a(&block[0..24]) ^ fnv1a(&block[SNAP_HEADER..end]) != get_u64(block, 24) {
             return None;
         }
-        let end = SNAP_HEADER + count * SNAP_ENTRY_LEN;
-        if fnv1a(&block[0..24]) ^ fnv1a(&block[SNAP_HEADER..end]) != r(24) {
-            return None;
-        }
-        let mut entries = Vec::with_capacity(count);
-        for i in 0..count {
-            let off = SNAP_HEADER + i * SNAP_ENTRY_LEN;
+        let mut entries = Vec::with_capacity(count as usize);
+        for off in (SNAP_HEADER..end).step_by(SNAP_ENTRY_LEN) {
             let name_len = block[off + 32] as usize;
             if name_len > NAME_LEN {
                 return None;
@@ -653,14 +641,17 @@ impl SnapCatalog {
             let name = String::from_utf8(block[off + 33..off + 33 + name_len].to_vec()).ok()?;
             entries.push(SnapEntry {
                 name,
-                object: ObjectId(r(off) as u32),
-                epoch: r(off + 8),
-                tree_root: r(off + 16),
-                len_pages: r(off + 24),
-                root_digest: u32::from_le_bytes(block[off + 121..off + 125].try_into().unwrap()),
+                object: ObjectId(get_u64(block, off) as u32),
+                epoch: get_u64(block, off + 8),
+                tree_root: get_u64(block, off + 16),
+                len_pages: get_u64(block, off + 24),
+                root_digest: get_u32(block, off + 121),
             });
         }
-        Some(SnapCatalog { seq: r(8), entries })
+        Some(SnapCatalog {
+            seq: get_u64(block, 8),
+            entries,
+        })
     }
 }
 
@@ -687,25 +678,30 @@ impl DirEntry {
         assert!(self.name.len() <= NAME_LEN, "object name too long");
         out[..DIR_ENTRY_LEN].fill(0);
         out[0] = 1; // present
-        out[1..9].copy_from_slice(&(self.id.0 as u64).to_le_bytes());
-        out[9..17].copy_from_slice(&self.meta_base.to_le_bytes());
+        set_u64(out, 1, self.id.0 as u64);
+        set_u64(out, 9, self.meta_base);
         out[25] = self.name.len() as u8;
         out[26..26 + self.name.len()].copy_from_slice(self.name.as_bytes());
     }
 
-    pub fn decode(data: &[u8]) -> Option<DirEntry> {
+    /// Decodes the entry in directory block `block`: `None` for a free
+    /// slot, [`StoreError::CorruptMeta`] for a present entry whose name
+    /// is longer than `NAME_LEN` or not UTF-8 (the directory rotted).
+    pub fn decode(data: &[u8], block: u64) -> Result<Option<DirEntry>, StoreError> {
         if data[0] != 1 {
-            return None;
+            return Ok(None);
         }
-        let id = u64::from_le_bytes(data[1..9].try_into().unwrap()) as u32;
-        let meta_base = u64::from_le_bytes(data[9..17].try_into().unwrap());
         let name_len = data[25] as usize;
-        let name = String::from_utf8(data[26..26 + name_len].to_vec()).ok()?;
-        Some(DirEntry {
+        let corrupt = StoreError::CorruptMeta { block };
+        if name_len > NAME_LEN {
+            return Err(corrupt);
+        }
+        let name = String::from_utf8(data[26..26 + name_len].to_vec()).map_err(|_| corrupt)?;
+        Ok(Some(DirEntry {
             name,
-            id: ObjectId(id),
-            meta_base,
-        })
+            id: ObjectId(get_u64(data, 1) as u32),
+            meta_base: get_u64(data, 9),
+        }))
     }
 }
 
@@ -725,6 +721,8 @@ mod tests {
             flush_seq: 17,
         };
         let block = rec.to_block();
+        // Pinned image: record layouts are unchanged across releases.
+        assert_eq!(fnv1a(&block), 0x847f57f75dfd3d98);
         assert_eq!(RootRecord::from_block(&block, ObjectId(7)), Some(rec));
     }
 
@@ -791,6 +789,7 @@ mod tests {
             pairs: vec![(5, 100), (907, 101), (13, 102)],
         };
         let block = rec.to_block();
+        assert_eq!(fnv1a(&block), 0xd0139cb496f5d884);
         assert_eq!(DeltaRecord::from_block(&block, ObjectId(3)), Some(rec));
     }
 
@@ -855,6 +854,7 @@ mod tests {
     fn batch_record_round_trips() {
         let rec = sample_batch();
         let block = rec.to_block();
+        assert_eq!(fnv1a(&block), 0x612a1dbcb975ac38);
         assert_eq!(BatchRecord::from_block(&block), Some(rec));
     }
 
@@ -866,6 +866,17 @@ mod tests {
         let mut block = sample_batch().to_block();
         block[25] ^= 0x80; // corrupt the checksum itself
         assert_eq!(BatchRecord::from_block(&block), None);
+    }
+
+    #[test]
+    fn lying_batch_counts_are_rejected_not_panicked() {
+        // A rotted group or pair count must not drive an allocation or a
+        // read past the block before the checksum gets to reject it.
+        for (off, count) in [(16, 1u64 << 61), (BATCH_HEADER + 32, 1 << 60)] {
+            let mut block = sample_batch().to_block();
+            set_u64(&mut block, off, count);
+            assert_eq!(BatchRecord::from_block(&block), None);
+        }
     }
 
     #[test]
@@ -927,6 +938,7 @@ mod tests {
     fn snap_catalog_round_trips() {
         let cat = sample_catalog();
         let block = cat.to_block();
+        assert_eq!(fnv1a(&block), 0xec931eeaaa517c04);
         assert_eq!(SnapCatalog::from_block(&block), Some(cat));
     }
 
@@ -934,6 +946,7 @@ mod tests {
     fn empty_snap_catalog_round_trips() {
         let cat = SnapCatalog::default();
         let block = cat.to_block();
+        assert_eq!(fnv1a(&block), 0xb3d900d2b44ee190);
         assert_eq!(SnapCatalog::from_block(&block), Some(cat));
     }
 
@@ -981,7 +994,8 @@ mod tests {
         };
         let mut buf = [0u8; DIR_ENTRY_LEN];
         e.encode(&mut buf);
-        assert_eq!(DirEntry::decode(&buf), Some(e));
+        assert_eq!(fnv1a(&buf), 0xd9c8d2c97d1b77fe);
+        assert_eq!(DirEntry::decode(&buf, 4), Ok(Some(e)));
     }
 
     #[test]
@@ -1001,7 +1015,7 @@ mod tests {
     #[test]
     fn absent_dir_entry_decodes_none() {
         let buf = [0u8; DIR_ENTRY_LEN];
-        assert_eq!(DirEntry::decode(&buf), None);
+        assert_eq!(DirEntry::decode(&buf, 4), Ok(None));
     }
 
     #[test]
@@ -1025,13 +1039,14 @@ mod tests {
             extent_blocks: 1024,
         };
         let block = sb.to_block();
+        assert_eq!(fnv1a(&block), 0xc5de62e7ffbf9b75);
         assert_eq!(SuperV3::from_block(&block), Some(sb));
         let mut torn = sb.to_block();
         torn[9] ^= 1;
         assert_eq!(SuperV3::from_block(&torn), None);
         // A slab header is not a superblock.
         let mut header = [0u8; BLOCK_SIZE];
-        header[0..8].copy_from_slice(&SLAB_MAGIC.to_le_bytes());
+        set_u64(&mut header, 0, SLAB_MAGIC);
         assert_eq!(SuperV3::from_block(&header), None);
         // Degenerate shard counts are rejected even if checksummed.
         let zero = SuperV3 {
@@ -1048,6 +1063,7 @@ mod tests {
             epochs: vec![12, 0, 99, 3],
         };
         let block = cut.to_block();
+        assert_eq!(fnv1a(&block), 0x24ad8e38a9ac6f83);
         assert_eq!(CutRecord::from_block(&block), Some(cut));
         let mut torn = CutRecord {
             seq: 7,

@@ -24,6 +24,7 @@
 use std::sync::Arc;
 
 use crate::layout::{digest32, pack_entry, unpack_entry, DIGEST_NONE};
+use msnap_disk::codec::{get_u64, set_u64};
 use msnap_disk::{IoError, BLOCK_SIZE};
 
 /// Children per node: one 4 KiB block of u64 entry words.
@@ -140,7 +141,7 @@ impl Node {
         node.disk_block = Some(block);
         node.disk_digest = digest32(buf);
         for i in 0..FANOUT {
-            let v = u64::from_le_bytes(buf[i * 8..i * 8 + 8].try_into().unwrap());
+            let v = get_u64(buf, i * 8);
             if v == 0 {
                 continue;
             }
@@ -167,7 +168,7 @@ impl Node {
                     n.disk_digest,
                 ),
             };
-            block[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
+            set_u64(&mut block, i * 8, v);
         }
         block
     }

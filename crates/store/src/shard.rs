@@ -196,7 +196,8 @@ impl ObjectStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError::NotFormatted`] if block 0 is not a valid superblock.
+    /// [`StoreError::NotFormatted`] if block 0 is not a valid superblock,
+    /// [`StoreError::CorruptMeta`] if a directory entry does not decode.
     pub fn open(vt: &mut Vt, disk: &mut Disk) -> Result<Self, StoreError> {
         let mut sb = [0u8; BLOCK_SIZE];
         disk.read_block(vt, 0, &mut sb);

@@ -15,6 +15,7 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
+use msnap_disk::codec::{get_u64, set_u64};
 use msnap_disk::{fnv1a_extend, Disk, IoError, WriteToken, BLOCK_SIZE, FNV_OFFSET};
 use msnap_sim::{Category, Nanos, Vt};
 
@@ -71,10 +72,11 @@ pub enum StoreError {
         /// The epoch the read was served at.
         epoch: Epoch,
     },
-    /// A radix-node block failed its digest check during demand
-    /// hydration: the tree's own media rotted.
+    /// Metadata media rotted: a radix-node block failed its digest
+    /// check during demand hydration, or a directory block holds an
+    /// entry that does not decode.
     CorruptMeta {
-        /// The corrupt node block.
+        /// The corrupt node or directory block.
         block: u64,
     },
     /// [`StoreShard::repair_page`] was handed bytes that do not match
@@ -103,7 +105,7 @@ impl fmt::Display for StoreError {
                 "page {page} (block {block}, epoch {epoch}) failed digest verification"
             ),
             StoreError::CorruptMeta { block } => {
-                write!(f, "tree node block {block} failed digest verification")
+                write!(f, "metadata block {block} failed verification")
             }
             StoreError::RepairMismatch => {
                 f.write_str("repair data does not match the page's expected digest")
@@ -426,7 +428,7 @@ impl StoreShard {
     /// panics.
     pub(crate) fn format_at(disk: &mut Disk, layout: ShardLayout) -> Self {
         let mut header = [0u8; BLOCK_SIZE];
-        header[0..8].copy_from_slice(&SLAB_MAGIC.to_le_bytes());
+        set_u64(&mut header, 0, SLAB_MAGIC);
         disk.write_block_at(Nanos::ZERO, layout.header(), &header)
             .expect("formatting a faulty device is unsupported");
         let zero = [0u8; BLOCK_SIZE];
@@ -484,7 +486,9 @@ impl StoreShard {
     ///
     /// # Errors
     ///
-    /// [`StoreError::NotFormatted`] if the slab header is missing.
+    /// [`StoreError::NotFormatted`] if the slab header is missing,
+    /// [`StoreError::CorruptMeta`] if a directory entry does not decode
+    /// or does not sit in the slot its id names.
     pub(crate) fn open_at(
         vt: &mut Vt,
         disk: &mut Disk,
@@ -492,7 +496,7 @@ impl StoreShard {
     ) -> Result<Self, StoreError> {
         let mut header = [0u8; BLOCK_SIZE];
         disk.read_block(vt, layout.header(), &mut header);
-        if u64::from_le_bytes(header[0..8].try_into().unwrap()) != SLAB_MAGIC {
+        if get_u64(&header, 0) != SLAB_MAGIC {
             return Err(StoreError::NotFormatted);
         }
 
@@ -501,11 +505,17 @@ impl StoreShard {
         let dir_start = layout.dir_start();
         for b in dir_start..dir_start + DIR_BLOCKS {
             disk.read_block(vt, b, &mut buf);
-            for i in 0..ENTRIES_PER_BLOCK {
-                if let Some(e) = DirEntry::decode(&buf[i * DIR_ENTRY_LEN..(i + 1) * DIR_ENTRY_LEN])
-                {
-                    entries.push(e);
+            for (i, slot) in buf.chunks_exact(DIR_ENTRY_LEN).enumerate() {
+                let Some(e) = DirEntry::decode(slot, b)? else {
+                    continue;
+                };
+                // Ids are dense and each entry sits in the slot its id
+                // names; a mismatch or an earlier empty slot is rot.
+                let slot_id = (b - dir_start) as usize * ENTRIES_PER_BLOCK + i;
+                if e.id.0 as usize != slot_id || entries.len() != slot_id {
+                    return Err(StoreError::CorruptMeta { block: b });
                 }
+                entries.push(e);
             }
         }
 

@@ -72,6 +72,33 @@ fn intact_store_recovers_every_epoch() {
 }
 
 #[test]
+fn rotted_directory_entry_is_reported_not_panicked() {
+    // Block 4 is shard 0's first directory block; its first entry names
+    // object "o" (id 0). Byte 1 is the id's low byte, byte 25 the name
+    // length, byte 26 the name's first byte.
+    const DIR_BLOCK: u64 = 4;
+    let rot = |disk: &mut Disk, vt: &mut Vt, off: usize, byte: u8| {
+        let mut block = disk.peek(DIR_BLOCK).expect("directory written").to_vec();
+        block[off] = byte;
+        disk.write_block(vt, DIR_BLOCK, &block).unwrap();
+        ObjectStore::open(vt, disk).err()
+    };
+    let corrupt = Some(StoreError::CorruptMeta { block: DIR_BLOCK });
+    for (off, byte) in [(1, 1), (25, 0xFF), (25, 89), (26, 0xFF)] {
+        let (mut disk, mut vt) = build(3);
+        assert_eq!(rot(&mut disk, &mut vt, off, byte), corrupt, "byte {off}");
+    }
+    // A cleared present byte ahead of a live entry leaves an id hole.
+    let mut disk = Disk::new(DiskConfig::paper());
+    let mut store = ObjectStore::format(&mut disk);
+    let mut vt = Vt::new(0);
+    store.create(&mut vt, &mut disk, "a").unwrap();
+    store.create(&mut vt, &mut disk, "b").unwrap();
+    disk.settle();
+    assert_eq!(rot(&mut disk, &mut vt, 0, 0), corrupt);
+}
+
+#[test]
 fn corrupted_latest_delta_degrades_by_one_epoch() {
     let n = 10; // all within one delta window
     assert!(n < DELTA_SLOTS);

@@ -336,7 +336,7 @@ fn delta_apply_crash_sweep_lands_at_base_or_target_epoch() {
     );
 }
 
-/// The same exhaustive crash sweep over a *sub-page* (v2) delta apply:
+/// The same exhaustive crash sweep over a *sub-page* delta apply:
 /// the stream carries sub-page frames — 64-byte line runs diffed
 /// against the retained base, compressed where worthwhile — yet a
 /// power failure at any IO boundary still leaves the replica at

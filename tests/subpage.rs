@@ -1,6 +1,6 @@
 //! Sub-page delta shipping, end to end: a property check that sub-page
-//! (v2) streams apply byte-for-byte identically to page-granularity
-//! (v1) streams, and a fixed-seed 30%-loss replication sweep over the
+//! (`build_v2`) streams apply byte-for-byte identically to full-page
+//! (`build`) streams, and a fixed-seed 30%-loss replication sweep over the
 //! small-write workload that CI runs to prove no acked epoch is ever
 //! lost and no applied page ever diverges from its digest.
 
@@ -73,9 +73,9 @@ fn replica_pages(vt: &mut Vt, disk: &mut Disk, replica: &mut ObjectStore) -> Vec
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Fidelity: for any edit batch, applying the sub-page (v2) stream
+    /// Fidelity: for any edit batch, applying the sub-page stream
     /// leaves the replica byte-for-byte identical to applying the
-    /// page-granularity (v1) stream for the same epoch step.
+    /// full-page stream for the same epoch step.
     #[test]
     fn subpage_apply_matches_fullpage_apply_byte_for_byte(
         seed in 0u8..255,
